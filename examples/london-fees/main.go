@@ -33,11 +33,13 @@ func main() {
 	client := net.NewClient(0)
 
 	floor := net.BaseFee()
+	// The under-priced transaction is submitted with a token; the burst's
+	// transactions carry none.
+	var stuck chain.Submission
 	var stuckCommitAt time.Duration
-	var stuckID types.Hash
-	client.OnDecided = func(id types.Hash, _ types.ExecStatus, at time.Duration) {
-		if id == stuckID {
-			stuckCommitAt = at
+	client.OnDecided = func(s chain.Submission, _ types.ExecStatus, at time.Duration) {
+		if s.Token != nil {
+			stuck, stuckCommitAt = s, at
 		}
 	}
 
@@ -52,20 +54,17 @@ func main() {
 				GasLimit: 21000, GasPrice: net.BaseFee() * 2,
 			}
 			w.Get(i%199 + 1).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	// Mid-burst, submit one transaction pre-signed at the old fee.
-	var stuckSubmitAt time.Duration
 	sched.At(30*time.Second, func() {
 		tx := &types.Transaction{
 			Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1,
 			GasLimit: 21000, GasPrice: floor,
 		}
 		w.Get(0).SignNext(tx)
-		stuckID = tx.ID()
-		stuckSubmitAt = sched.Now()
-		client.Submit(tx)
+		client.Submit(tx, "pre-signed")
 	})
 
 	fmt.Printf("%-8s %12s\n", "time", "base fee")
@@ -82,8 +81,8 @@ func main() {
 	fmt.Printf("fee floor: %d; the saturated blocks pushed it up 12.5%% per block,\n", floor)
 	fmt.Println("then empty blocks walked it back down after the burst.")
 	if stuckCommitAt > 0 {
-		fmt.Printf("\nthe transaction pre-signed at the old fee (t=%.0fs) stayed stuck for\n", stuckSubmitAt.Seconds())
-		fmt.Printf("%.0f seconds until the fee fell below its price — the paper's\n", (stuckCommitAt - stuckSubmitAt).Seconds())
+		fmt.Printf("\nthe transaction pre-signed at the old fee (t=%.0fs) stayed stuck for\n", stuck.Submitted.Seconds())
+		fmt.Printf("%.0f seconds until the fee fell below its price — the paper's\n", (stuckCommitAt - stuck.Submitted).Seconds())
 		fmt.Println("\"risks to be underpriced\" problem, and why DIABLO signs online.")
 	} else {
 		fmt.Println("\nthe under-priced transaction never committed within the run.")

@@ -136,7 +136,7 @@ func BenchmarkAblationConsensusMessageComplexity(b *testing.B) {
 					for k := 0; k < 50; k++ {
 						k := k
 						sched.At(time.Duration(k)*100*time.Millisecond, func() {
-							client.Submit(benchTransfer(acct, uint64(k)))
+							client.Submit(benchTransfer(acct, uint64(k)), nil)
 						})
 					}
 					sched.RunUntil(60 * time.Second)

@@ -149,10 +149,6 @@ type Network struct {
 	ledger   []*types.Block
 	receipts map[types.Hash]*types.Receipt
 
-	// txOrigin records which node each pending transaction entered the
-	// network through; consumed (and freed) at block assembly to build the
-	// per-origin commit index that clients use.
-	txOrigin map[types.Hash]int32
 	// blockIndex maps a committed block to its per-origin transaction
 	// groups; freed once every node has received the block.
 	blockIndex map[*types.Block]*blockGroups //lint:allow snapshotdrift pointer-keyed cache of block conflict groups; derived, rebuilt per block
@@ -233,7 +229,6 @@ func Deploy(sched *sim.Scheduler, wan *simnet.Network, params Params, dep Deploy
 		Net:        wan,
 		VCPUs:      dep.VCPUs,
 		receipts:   make(map[types.Hash]*types.Receipt),
-		txOrigin:   make(map[types.Hash]int32),
 		blockIndex: make(map[*types.Block]*blockGroups),
 	}
 	placement := simnet.PlaceEvenly(dep.Nodes, dep.Regions)
@@ -460,9 +455,10 @@ func (nd *Node) SubmitTx(tx *types.Transaction) error {
 		n.tracer.Reject(n.Sched.Now(), tx.ID(), nd.Index, "network-down")
 		return ErrNodeDown
 	}
+	// The pool entry records the origin node; block assembly reads it back
+	// from the take, so the network keeps no per-transaction index.
 	err := n.Pool.Add(tx, nd.Index, n.Sched.Now())
 	if err == nil {
-		n.txOrigin[tx.ID()] = int32(nd.Index)
 		n.monitor.OnAdmit(tx.ID(), nd.Index, n.Sched.Now())
 		n.Obs.Admitted.Inc()
 		n.tracer.Admit(n.Sched.Now(), tx.ID(), nd.Index)
@@ -475,7 +471,7 @@ func (nd *Node) SubmitTx(tx *types.Transaction) error {
 
 // blockGroups indexes one block's transactions by origin node.
 type blockGroups struct {
-	byOrigin   map[int][]decidedTx
+	byOrigin   [][]decidedTx // indexed by node; nil for an empty block
 	deliveries int
 }
 
@@ -543,6 +539,8 @@ func (n *Network) AssembleBlockBudgeted(proposer int, allowEmpty bool, maxTxs in
 		spec.MinGasPrice = n.baseFee
 	}
 	spec.MaxAge = n.Params.TxTTL
+	var origins []int32
+	spec.Origins = &origins
 	txs := n.Pool.TakeWith(spec)
 	if len(txs) == 0 && !allowEmpty {
 		return nil, Cost{}
@@ -560,7 +558,10 @@ func (n *Network) AssembleBlockBudgeted(proposer int, allowEmpty bool, maxTxs in
 	}
 	var gasUsed uint64
 	invokes := 0
-	groups := &blockGroups{byOrigin: make(map[int][]decidedTx)}
+	groups := &blockGroups{}
+	if len(txs) > 0 {
+		groups.byOrigin = make([][]decidedTx, len(n.Nodes))
+	}
 	// ApplyBlock executes serially or on the parallel worker pool
 	// (Exec.Workers, DESIGN.md §14); receipts are identical either way.
 	specBefore, fbBefore, hzBefore := n.Exec.SpecCommitted, n.Exec.Fallbacks, n.Exec.HazardEdges
@@ -577,10 +578,7 @@ func (n *Network) AssembleBlockBudgeted(proposer int, allowEmpty bool, maxTxs in
 		r := receipts[i]
 		n.receipts[id] = r
 		gasUsed += r.GasUsed
-		if origin, ok := n.txOrigin[id]; ok {
-			groups.byOrigin[int(origin)] = append(groups.byOrigin[int(origin)], decidedTx{id: id, status: r.Status})
-			delete(n.txOrigin, id)
-		}
+		groups.byOrigin[origins[i]] = append(groups.byOrigin[origins[i]], decidedTx{id: id, status: r.Status})
 	}
 	blk.GasUsed = gasUsed
 	blk.StateRoot = n.Exec.StateRoot()
@@ -625,7 +623,7 @@ func (n *Network) DeliverBlock(idx int, blk *types.Block) {
 	}
 	groups := n.blockIndex[blk]
 	var mine []decidedTx
-	if groups != nil {
+	if groups != nil && groups.byOrigin != nil {
 		mine = groups.byOrigin[idx]
 	}
 	for _, c := range nd.clients {

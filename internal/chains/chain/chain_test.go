@@ -171,11 +171,11 @@ func TestDeliverBlockNotifiesOnlyOriginClients(t *testing.T) {
 	c0 := net.NewClient(0)
 	c1 := net.NewClient(1)
 	var got0, got1 int
-	c0.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { got0++ }
-	c1.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { got1++ }
+	c0.OnDecided = func(Submission, types.ExecStatus, time.Duration) { got0++ }
+	c1.OnDecided = func(Submission, types.ExecStatus, time.Duration) { got1++ }
 
 	tx := signedTransfer(w, 0)
-	c0.Submit(tx)
+	c0.Submit(tx, nil)
 	sched.RunFor(time.Second)
 	blk, _ := net.AssembleBlock(0, false)
 	if blk == nil {
@@ -211,8 +211,8 @@ func TestConfirmDepthDefersDecision(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "conf", 2)
 	c := net.NewClient(0)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
-	c.Submit(signedTransfer(w, 0))
+	c.OnDecided = func(Submission, types.ExecStatus, time.Duration) { decided++ }
+	c.Submit(signedTransfer(w, 0), nil)
 	sched.RunFor(time.Second)
 
 	blk1, _ := net.AssembleBlock(0, false)

@@ -66,13 +66,13 @@ type Client struct {
 
 	// OnDecided fires when a submitted transaction is observed committed
 	// (and confirmed) at this client's node.
-	OnDecided func(id types.Hash, status types.ExecStatus, at time.Duration)
+	OnDecided func(s Submission, status types.ExecStatus, at time.Duration)
 	// OnDropped fires when the node rejects a submission (mempool policy).
-	OnDropped func(id types.Hash, err error, at time.Duration)
+	OnDropped func(s Submission, err error, at time.Duration)
 	// OnTimeout fires when the retry policy gives up on a transaction:
 	// attempts resubmissions all timed out. Requires a non-zero RetryPolicy;
 	// without one a transaction pending at a dead node lingers forever.
-	OnTimeout func(id types.Hash, attempts int, at time.Duration)
+	OnTimeout func(s Submission, attempts int, at time.Duration)
 
 	// Retries counts resubmissions; TimedOut counts abandoned transactions.
 	Retries  int
@@ -82,22 +82,47 @@ type Client struct {
 	pending map[types.Hash]*pendingTx
 	// waiting holds txs observed in a block, awaiting confirmation depth:
 	// waiting[i] are txs from block number waitBase+i.
-	waiting  [][]decidedTx
+	waiting  [][]includedTx
 	waitBase uint64
 }
 
-// pendingTx tracks one submitted-but-undecided transaction, kept so the
-// retry policy can resubmit the identical signed payload (dedup at the node
-// keeps the mempool and commit accounting correct).
+// Submission identifies a settled transaction to the client's callbacks: its
+// ID, when Submit was called, and the caller's token from Submit — so a
+// caller correlating outcomes with its own records keeps no index of its own.
+type Submission struct {
+	ID        types.Hash
+	Submitted time.Duration
+	Token     any
+}
+
+// pendingTx is the one record of a submitted-but-undecided transaction: the
+// signed payload (the retry policy resubmits it unchanged; dedup at the node
+// keeps the mempool and commit accounting correct), what the callbacks hand
+// back, and the retry state. It is also the scheduler callback of its own
+// RPC, so a send allocates nothing.
 type pendingTx struct {
+	c        *Client
 	tx       *types.Transaction
+	sub      Submission
 	attempts int
 	timer    sim.EventID
 	hasTimer bool
+	// settled is set once the transaction left c.pending (decided, dropped,
+	// timed out, or replaced by a resubmission of the same ID); events still
+	// in flight for it then do nothing.
+	settled bool
 }
 
+// decidedTx is a block's verdict on one transaction, as the network lists
+// it for the clients of the node the transaction entered through.
 type decidedTx struct {
 	id     types.Hash
+	status types.ExecStatus
+}
+
+// includedTx is one of this client's pending transactions seen in a block.
+type includedTx struct {
+	p      *pendingTx
 	status types.ExecStatus
 }
 
@@ -130,85 +155,89 @@ func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 // submission reaches the node after the chain's client-side overhead plus
 // RPC latency; policy rejection surfaces through OnDropped, and — when a
 // retry policy is set — transient failures and silent losses are retried
-// until OnDecided or OnTimeout settles the transaction.
-func (c *Client) Submit(tx *types.Transaction) {
-	id := tx.ID()
-	p := &pendingTx{tx: tx}
-	c.pending[id] = p
+// until OnDecided or OnTimeout settles the transaction. token comes back in
+// the callbacks' Submission; a pointer or nil costs no allocation.
+func (c *Client) Submit(tx *types.Transaction, token any) {
+	now := c.net.Sched.Now()
+	p := &pendingTx{c: c, tx: tx, sub: Submission{ID: tx.ID(), Submitted: now, Token: token}}
+	if old, dup := c.pending[p.sub.ID]; dup {
+		old.settled = true // the resubmission takes over the slot
+	}
+	c.pending[p.sub.ID] = p
 	c.net.Obs.Submitted.Inc()
-	c.net.tracer.Submit(c.net.Sched.Now(), id, c.node.Index)
-	c.net.spans.PointTx(c.net.Sched.Now(), span.LabelSubmit, int32(c.node.Index), id)
-	c.send(id, p)
+	c.net.tracer.Submit(now, p.sub.ID, c.node.Index)
+	c.net.spans.PointTx(now, span.LabelSubmit, int32(c.node.Index), p.sub.ID)
+	c.send(p)
 }
 
 // send performs one submission attempt for a tracked transaction.
-func (c *Client) send(id types.Hash, p *pendingTx) {
+func (c *Client) send(p *pendingTx) {
 	delay := rpcLatency + c.net.Params.SubmitOverhead
 	c.net.spans.Hint("client.rpc", int32(c.node.Index))
-	c.net.Sched.AfterKind(sim.KindClient, delay, func() {
-		if c.pending[id] != p {
-			return // decided while the attempt was in flight
+	c.net.Sched.AfterCallKind(sim.KindClient, delay, p)
+}
+
+// Run implements sim.Callback: the RPC of one attempt arriving at the node.
+//
+//perf:noalloc
+func (p *pendingTx) Run() {
+	if p.settled {
+		return // decided while the attempt was in flight
+	}
+	c, id := p.c, p.sub.ID
+	c.net.tracer.Send(c.net.Sched.Now(), id, c.node.Index, p.attempts)
+	err := c.node.SubmitTx(p.tx)
+	switch {
+	case err == nil:
+		c.arm(p)
+	case c.retry.Enabled() && errors.Is(err, mempool.ErrDuplicate):
+		// Already known from an earlier attempt. Poll the receipt: the
+		// transaction may have committed in a block this client never
+		// saw (its node was down when the block was decided). A real
+		// client recovers exactly this way — "already known" from the
+		// RPC, then a receipt query.
+		if r, done := c.net.Receipt(id); done {
+			c.decide(p, r.Status)
+			return
 		}
-		c.net.tracer.Send(c.net.Sched.Now(), id, c.node.Index, p.attempts)
-		err := c.node.SubmitTx(p.tx)
-		switch {
-		case err == nil:
-			c.arm(id, p)
-		case c.retry.Enabled() && errors.Is(err, mempool.ErrDuplicate):
-			// Already known from an earlier attempt. Poll the receipt: the
-			// transaction may have committed in a block this client never
-			// saw (its node was down when the block was decided). A real
-			// client recovers exactly this way — "already known" from the
-			// RPC, then a receipt query.
-			if r, done := c.net.Receipt(id); done {
-				c.settle(id, p)
-				c.net.Obs.Decided.Inc()
-				c.net.tracer.Commit(c.net.Sched.Now(), id, c.node.Index)
-				c.net.spans.PointTx(c.net.Sched.Now(), span.LabelCommit, int32(c.node.Index), id)
-				if c.OnDecided != nil {
-					c.OnDecided(id, r.Status, c.net.Sched.Now())
-				}
-				return
-			}
-			// Still pooled; keep waiting for the decision.
-			c.arm(id, p)
-		case c.retry.Enabled() && retryable(err):
-			// The node is down; back off and try again.
-			c.arm(id, p)
-		default:
-			delete(c.pending, id)
-			if c.OnDropped != nil {
-				c.OnDropped(id, err, c.net.Sched.Now())
-			}
+		// Still pooled; keep waiting for the decision.
+		c.arm(p)
+	case c.retry.Enabled() && retryable(err):
+		// The node is down; back off and try again.
+		c.arm(p)
+	default:
+		c.settle(p)
+		if c.OnDropped != nil {
+			c.OnDropped(p.sub, err, c.net.Sched.Now())
 		}
-	})
+	}
 }
 
 // arm starts the decision timeout for the current attempt (no-op without a
 // retry policy).
-func (c *Client) arm(id types.Hash, p *pendingTx) {
+func (c *Client) arm(p *pendingTx) {
 	if !c.retry.Enabled() {
 		return
 	}
 	c.net.spans.Hint("client.retry", int32(c.node.Index))
-	p.timer = c.net.Sched.AfterKind(sim.KindClient, c.retry.wait(p.attempts), func() { c.expire(id, p) })
+	p.timer = c.net.Sched.AfterKind(sim.KindClient, c.retry.wait(p.attempts), func() { c.expire(p) })
 	p.hasTimer = true
 }
 
 // expire handles a decision timeout: resubmit with backoff, or give up once
 // retries are exhausted.
-func (c *Client) expire(id types.Hash, p *pendingTx) {
-	if c.pending[id] != p {
+func (c *Client) expire(p *pendingTx) {
+	if p.settled {
 		return
 	}
 	if p.attempts >= c.retry.MaxRetries {
-		delete(c.pending, id)
+		c.settle(p)
 		c.TimedOut++
 		c.net.TotalTimeouts++
 		c.net.Obs.Timeouts.Inc()
-		c.net.tracer.Timeout(c.net.Sched.Now(), id, p.attempts)
+		c.net.tracer.Timeout(c.net.Sched.Now(), p.sub.ID, p.attempts)
 		if c.OnTimeout != nil {
-			c.OnTimeout(id, p.attempts, c.net.Sched.Now())
+			c.OnTimeout(p.sub, p.attempts, c.net.Sched.Now())
 		}
 		return
 	}
@@ -216,16 +245,29 @@ func (c *Client) expire(id types.Hash, p *pendingTx) {
 	c.Retries++
 	c.net.TotalRetries++
 	c.net.Obs.Retries.Inc()
-	c.net.tracer.Retry(c.net.Sched.Now(), id, p.attempts)
-	c.send(id, p)
+	c.net.tracer.Retry(c.net.Sched.Now(), p.sub.ID, p.attempts)
+	c.send(p)
 }
 
-// settle removes a decided transaction, cancelling any retry timer.
-func (c *Client) settle(id types.Hash, p *pendingTx) {
+// settle retires a transaction's record, cancelling any retry timer.
+func (c *Client) settle(p *pendingTx) {
 	if p.hasTimer {
 		p.timer.Cancel()
 	}
-	delete(c.pending, id)
+	p.settled = true
+	delete(c.pending, p.sub.ID)
+}
+
+// decide settles a transaction observed committed and reports it.
+func (c *Client) decide(p *pendingTx, status types.ExecStatus) {
+	now := c.net.Sched.Now()
+	c.settle(p)
+	c.net.Obs.Decided.Inc()
+	c.net.tracer.Commit(now, p.sub.ID, c.node.Index)
+	c.net.spans.PointTx(now, span.LabelCommit, int32(c.node.Index), p.sub.ID)
+	if c.OnDecided != nil {
+		c.OnDecided(p.sub, status, now)
+	}
 }
 
 // onBlock handles a committed block arriving at the client's node. mine
@@ -244,25 +286,17 @@ func (c *Client) onBlock(blk *types.Block, mine []decidedTx) {
 			slot = int(blk.Number - c.waitBase)
 		}
 		for _, d := range mine {
-			if _, ok := c.pending[d.id]; ok {
-				c.waiting[slot] = append(c.waiting[slot], d)
+			if p, ok := c.pending[d.id]; ok {
+				c.waiting[slot] = append(c.waiting[slot], includedTx{p: p, status: d.status})
 			}
 		}
 	}
 	// Decide everything at confirmation depth.
 	confirmed := int64(blk.Number) - int64(c.net.Params.ConfirmDepth) - int64(c.waitBase)
 	for i := int64(0); i <= confirmed && i < int64(len(c.waiting)); i++ {
-		for _, d := range c.waiting[i] {
-			p, still := c.pending[d.id]
-			if !still {
-				continue
-			}
-			c.settle(d.id, p)
-			c.net.Obs.Decided.Inc()
-			c.net.tracer.Commit(c.net.Sched.Now(), d.id, c.node.Index)
-			c.net.spans.PointTx(c.net.Sched.Now(), span.LabelCommit, int32(c.node.Index), d.id)
-			if c.OnDecided != nil {
-				c.OnDecided(d.id, d.status, c.net.Sched.Now())
+		for _, in := range c.waiting[i] {
+			if !in.p.settled {
+				c.decide(in.p, in.status)
 			}
 		}
 		c.waiting[i] = nil

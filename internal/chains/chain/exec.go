@@ -311,6 +311,28 @@ func EncodeInvokeData(calldata []uint64, extraBytes int) []byte {
 	return out
 }
 
+// InvokeData encodes a call of fn straight into transaction data: the bytes
+// EncodeInvokeData yields for the contract's calldata words (AVM application
+// arguments on an AVM chain), without building the word slice first.
+func (c *Contract) InvokeData(fn string, args []uint64, extraBytes int) ([]byte, error) {
+	var meta *minisol.FuncMeta
+	var err error
+	if c.AVM != nil {
+		meta, err = c.AVM.Call(fn, len(args))
+	} else {
+		meta, err = c.ABI.Call(fn, len(args))
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, (1+len(args))*8+extraBytes)
+	binary.BigEndian.PutUint64(out, meta.Selector)
+	for i, a := range args {
+		binary.BigEndian.PutUint64(out[(i+1)*8:], a)
+	}
+	return out, nil
+}
+
 // execState abstracts the replicated state one transaction executes
 // against, so the same transition function (applyOn) drives both the
 // canonical serial path (the Executor's own maps) and the parallel

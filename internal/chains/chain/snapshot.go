@@ -22,7 +22,6 @@ func (n *Network) SnapshotState(e *snapshot.Encoder) {
 	e.U64("base_fee", n.baseFee)
 	e.U64("overload_excess", n.arrivals.excess)
 	e.U64("receipts", uint64(len(n.receipts)))
-	e.U64("tx_origin", uint64(len(n.txOrigin)))
 
 	ledger := snapshot.NewHash()
 	for _, blk := range n.ledger {
@@ -76,8 +75,8 @@ func (n *Network) SnapshotClients(e *snapshot.Encoder) {
 			h.U64(ids)
 			for _, slot := range c.waiting {
 				h.U64(uint64(len(slot)))
-				for _, d := range slot {
-					h.Bytes(d.id[:])
+				for _, in := range slot {
+					h.Bytes(in.p.sub.ID[:])
 				}
 			}
 		}

@@ -60,19 +60,18 @@ func TestNativeTransfersCommitAllChains(t *testing.T) {
 
 			committed := 0
 			var lastLatency time.Duration
-			submitTimes := map[types.Hash]time.Duration{}
 
 			clients := make([]*chain.Client, 10)
 			for i := range clients {
 				clients[i] = net.NewClient(i)
-				clients[i].OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
+				clients[i].OnDecided = func(sub chain.Submission, status types.ExecStatus, at time.Duration) {
 					if status != types.StatusOK {
 						t.Errorf("transfer failed: %v", status)
 					}
 					committed++
-					lastLatency = at - submitTimes[id]
+					lastLatency = at - sub.Submitted
 				}
-				clients[i].OnDropped = func(id types.Hash, err error, at time.Duration) {
+				clients[i].OnDropped = func(sub chain.Submission, err error, at time.Duration) {
 					t.Errorf("transfer dropped: %v", err)
 				}
 			}
@@ -91,8 +90,7 @@ func TestNativeTransfersCommitAllChains(t *testing.T) {
 						GasPrice: 1 << 30,
 					}
 					acct.SignNext(tx)
-					submitTimes[tx.ID()] = sched.Now()
-					clients[i%10].Submit(tx)
+					clients[i%10].Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(120 * time.Second)
@@ -139,7 +137,7 @@ func TestDAppInvocationAllChains(t *testing.T) {
 
 			client := net.NewClient(0)
 			okCount := 0
-			client.OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
+			client.OnDecided = func(sub chain.Submission, status types.ExecStatus, at time.Duration) {
 				if status == types.StatusOK {
 					okCount++
 				} else {
@@ -160,7 +158,7 @@ func TestDAppInvocationAllChains(t *testing.T) {
 						Data:     chain.EncodeInvokeData(calldata, 0),
 					}
 					w.Get(i % 5).SignNext(tx)
-					client.Submit(tx)
+					client.Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(90 * time.Second)
@@ -214,7 +212,7 @@ func TestUberBudgetOutcomePerChain(t *testing.T) {
 			client := net.NewClient(0)
 			var got types.ExecStatus
 			decided := false
-			client.OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
+			client.OnDecided = func(sub chain.Submission, status types.ExecStatus, at time.Duration) {
 				got = status
 				decided = true
 			}
@@ -228,7 +226,7 @@ func TestUberBudgetOutcomePerChain(t *testing.T) {
 				Data:     chain.EncodeInvokeData(calldata, 0),
 			}
 			w.Get(0).SignNext(tx)
-			sched.After(time.Second, func() { client.Submit(tx) })
+			sched.After(time.Second, func() { client.Submit(tx, nil) })
 			sched.RunUntil(90 * time.Second)
 			net.Stop()
 			if !decided {
@@ -260,7 +258,7 @@ func TestQuorumCollapsesUnderSustainedOverload(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(1).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 				w.Get((batch*7 + i) % 50).SignNext(tx)
-				client.Submit(tx)
+				client.Submit(tx, nil)
 			}
 		})
 	}
@@ -275,8 +273,8 @@ func TestQuorumSurvivesBurst(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "burst", 50)
 	client := net.NewClient(0)
 	committed := 0
-	client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
-	client.OnDropped = func(_ types.Hash, err error, _ time.Duration) {
+	client.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
+	client.OnDropped = func(_ chain.Submission, err error, _ time.Duration) {
 		t.Errorf("burst tx dropped: %v", err)
 	}
 	net.Start()
@@ -287,7 +285,7 @@ func TestQuorumSurvivesBurst(t *testing.T) {
 		sched.At(time.Duration(i)*100*time.Microsecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 50).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(180 * time.Second)
@@ -310,8 +308,8 @@ func TestBoundedChainsDropExcess(t *testing.T) {
 			w := wallet.New(wallet.FastScheme{}, "drop-"+name, 200)
 			client := net.NewClient(0)
 			dropped, committed := 0, 0
-			client.OnDropped = func(types.Hash, error, time.Duration) { dropped++ }
-			client.OnDecided = func(_ types.Hash, s types.ExecStatus, _ time.Duration) { committed++ }
+			client.OnDropped = func(chain.Submission, error, time.Duration) { dropped++ }
+			client.OnDecided = func(_ chain.Submission, s types.ExecStatus, _ time.Duration) { committed++ }
 			net.Start()
 			// 20k burst in one second: well above every bounded pool.
 			for i := 0; i < 20000; i++ {
@@ -319,7 +317,7 @@ func TestBoundedChainsDropExcess(t *testing.T) {
 				sched.At(time.Duration(i)*50*time.Microsecond, func() {
 					tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 					w.Get(i % 200).SignNext(tx)
-					client.Submit(tx)
+					client.Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(240 * time.Second)
@@ -346,7 +344,7 @@ func TestSolanaConfirmationDepthLatency(t *testing.T) {
 	client := net.NewClient(0)
 	var latency time.Duration
 	var submitAt time.Duration
-	client.OnDecided = func(id types.Hash, s types.ExecStatus, at time.Duration) {
+	client.OnDecided = func(sub chain.Submission, s types.ExecStatus, at time.Duration) {
 		latency = at - submitAt
 	}
 	net.Start()
@@ -354,7 +352,7 @@ func TestSolanaConfirmationDepthLatency(t *testing.T) {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 		w.Get(0).SignNext(tx)
 		submitAt = sched.Now()
-		client.Submit(tx)
+		client.Submit(tx, nil)
 	})
 	sched.RunUntil(60 * time.Second)
 	net.Stop()
@@ -379,7 +377,7 @@ func TestDeterministicRuns(t *testing.T) {
 			sched.At(time.Duration(i)*50*time.Millisecond, func() {
 				tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 				w.Get(i % 10).SignNext(tx)
-				client.Submit(tx)
+				client.Submit(tx, nil)
 			})
 		}
 		sched.RunUntil(60 * time.Second)

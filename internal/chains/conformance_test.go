@@ -56,11 +56,11 @@ func runConformance(t *testing.T, name string, seed int64) {
 	clients := make([]*chain.Client, 3)
 	for i := range clients {
 		clients[i] = net.NewClient(rng.Intn(len(net.Nodes)))
-		clients[i].OnDecided = func(id types.Hash, s types.ExecStatus, at time.Duration) {
-			decided[id]++
+		clients[i].OnDecided = func(sub chain.Submission, s types.ExecStatus, at time.Duration) {
+			decided[sub.ID]++
 		}
-		clients[i].OnDropped = func(id types.Hash, err error, at time.Duration) {
-			dropped[id]++
+		clients[i].OnDropped = func(sub chain.Submission, err error, at time.Duration) {
+			dropped[sub.ID]++
 		}
 	}
 
@@ -78,7 +78,7 @@ func runConformance(t *testing.T, name string, seed int64) {
 			}
 			w.Get(i % 30).SignNext(tx)
 			submitted[tx.ID()] = true
-			clients[i%3].Submit(tx)
+			clients[i%3].Submit(tx, nil)
 		})
 	}
 	net.Start()

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"diablo/internal/chains/chain"
 	"diablo/internal/consensus/raft"
 	"diablo/internal/types"
 	"diablo/internal/wallet"
@@ -30,10 +31,9 @@ func TestRaftCommitsTransfers(t *testing.T) {
 	client := net.NewClient(2)
 	committed := 0
 	var lastLat time.Duration
-	submitAt := map[types.Hash]time.Duration{}
-	client.OnDecided = func(id types.Hash, s types.ExecStatus, at time.Duration) {
+	client.OnDecided = func(sub chain.Submission, s types.ExecStatus, at time.Duration) {
 		committed++
-		lastLat = at - submitAt[id]
+		lastLat = at - sub.Submitted
 	}
 	net.Start()
 	for i := 0; i < 50; i++ {
@@ -41,8 +41,7 @@ func TestRaftCommitsTransfers(t *testing.T) {
 		sched.At(time.Duration(i)*100*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 10).SignNext(tx)
-			submitAt[tx.ID()] = sched.Now()
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(120 * time.Second)
@@ -66,7 +65,7 @@ func TestRaftSurvivesLeaderCrash(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "raft-crash", 10)
 	client := net.NewClient(2)
 	committed := 0
-	client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
+	client.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
 	net.Start()
 
 	// Let a leader emerge and commit a first batch.
@@ -75,7 +74,7 @@ func TestRaftSurvivesLeaderCrash(t *testing.T) {
 		sched.At(time.Duration(i)*100*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 10).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(20 * time.Second)
@@ -91,7 +90,7 @@ func TestRaftSurvivesLeaderCrash(t *testing.T) {
 		sched.At(sched.Now()+time.Duration(i-9)*100*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 10).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(sched.Now() + 120*time.Second)
@@ -108,14 +107,14 @@ func TestRedbellyCommitsAndScales(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "rbb", 50)
 	client := net.NewClient(0)
 	committed := 0
-	client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
+	client.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
 	net.Start()
 	for i := 0; i < 200; i++ {
 		i := i
 		sched.At(time.Duration(i)*10*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 50).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(120 * time.Second)

@@ -8,6 +8,7 @@ import (
 	"diablo/internal/chaos"
 	"diablo/internal/dapps"
 	"diablo/internal/simnet"
+	"diablo/internal/snapshot"
 	"diablo/internal/types"
 	"diablo/internal/wallet"
 )
@@ -25,7 +26,7 @@ func TestIBFTToleratesMinorityCrashes(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "crash-test", 10)
 	client := net.NewClient(0) // collocated with a live node
 	committed := 0
-	client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
+	client.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
 	net.Start()
 	// Crash replicas 7, 8, 9 (never the round-robin leaders for the
 	// handful of blocks this test commits).
@@ -37,7 +38,7 @@ func TestIBFTToleratesMinorityCrashes(t *testing.T) {
 		sched.At(time.Duration(i)*200*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(i % 10).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(120 * time.Second)
@@ -59,7 +60,7 @@ func TestInjectedMessageDelayStretchesLatency(t *testing.T) {
 		client := net.NewClient(0)
 		var latency time.Duration
 		var submitAt time.Duration
-		client.OnDecided = func(_ types.Hash, _ types.ExecStatus, at time.Duration) {
+		client.OnDecided = func(_ chain.Submission, _ types.ExecStatus, at time.Duration) {
 			latency = at - submitAt
 		}
 		net.Start()
@@ -67,7 +68,7 @@ func TestInjectedMessageDelayStretchesLatency(t *testing.T) {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(1).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 			w.Get(0).SignNext(tx)
 			submitAt = sched.Now()
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 		sched.RunUntil(300 * time.Second)
 		net.Stop()
@@ -92,13 +93,13 @@ func TestPartitionedClientStalls(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "part-test", 4)
 	isolated := net.NewClient(7)
 	committed := 0
-	isolated.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
+	isolated.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
 	net.Start()
 	net.Net.Partition(map[simnet.NodeID]int{net.Nodes[7].Sim.ID: 1})
 
 	tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(1).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 	w.Get(0).SignNext(tx)
-	sched.After(time.Second, func() { isolated.Submit(tx) })
+	sched.After(time.Second, func() { isolated.Submit(tx, nil) })
 	sched.RunUntil(60 * time.Second)
 	if committed != 0 {
 		t.Fatal("partitioned client's transaction committed across the partition")
@@ -139,7 +140,7 @@ func TestGasCacheFidelity(t *testing.T) {
 		}
 		client := net.NewClient(0)
 		committed := 0
-		client.OnDecided = func(_ types.Hash, s types.ExecStatus, _ time.Duration) {
+		client.OnDecided = func(_ chain.Submission, s types.ExecStatus, _ time.Duration) {
 			if s == types.StatusOK {
 				committed++
 			}
@@ -156,7 +157,7 @@ func TestGasCacheFidelity(t *testing.T) {
 				}
 				w.Get(i % 10).SignNext(tx)
 				ids = append(ids, tx.ID())
-				client.Submit(tx)
+				client.Submit(tx, nil)
 			})
 		}
 		sched.RunUntil(120 * time.Second)
@@ -205,8 +206,8 @@ func TestAllChainsRecoverAfterRestart(t *testing.T) {
 			live := net.NewClient(0)
 			restarted := net.NewClient(2)
 			liveCommits, restartCommits := 0, 0
-			live.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { liveCommits++ }
-			restarted.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { restartCommits++ }
+			live.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { liveCommits++ }
+			restarted.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { restartCommits++ }
 			net.Start()
 			chaos.Install(sched, net.Net, chaos.CanonicalCrashRestart(2, 8*time.Second, 60*time.Second))
 			// Phase 1: submissions through a live node, spanning the crash.
@@ -215,7 +216,7 @@ func TestAllChainsRecoverAfterRestart(t *testing.T) {
 				sched.At(time.Second+time.Duration(i)*200*time.Millisecond, func() {
 					tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 					w.Get(i % 10).SignNext(tx)
-					live.Submit(tx)
+					live.Submit(tx, nil)
 				})
 			}
 			// Phase 2: fresh submissions through the restarted node itself.
@@ -224,7 +225,7 @@ func TestAllChainsRecoverAfterRestart(t *testing.T) {
 				sched.At(70*time.Second+time.Duration(i)*200*time.Millisecond, func() {
 					tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 					w.Get(10 + i).SignNext(tx)
-					restarted.Submit(tx)
+					restarted.Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(240 * time.Second)
@@ -251,14 +252,14 @@ func TestRetryExhaustionClearsPending(t *testing.T) {
 	isolated := net.NewClient(7)
 	isolated.SetRetry(chain.RetryPolicy{Timeout: 5 * time.Second, MaxRetries: 3})
 	committed, timeouts, attempts := 0, 0, 0
-	isolated.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
-	isolated.OnTimeout = func(_ types.Hash, a int, _ time.Duration) { timeouts++; attempts = a }
+	isolated.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
+	isolated.OnTimeout = func(_ chain.Submission, a int, _ time.Duration) { timeouts++; attempts = a }
 	net.Start()
 	net.Net.Partition(map[simnet.NodeID]int{net.Nodes[7].Sim.ID: 1})
 
 	tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(1).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 	w.Get(0).SignNext(tx)
-	sched.After(time.Second, func() { isolated.Submit(tx) })
+	sched.After(time.Second, func() { isolated.Submit(tx, nil) })
 	// Backoff doubles from 5s: exhaustion lands at ~1+5+10+20+40 = 76s.
 	sched.RunUntil(120 * time.Second)
 	net.Stop()
@@ -290,15 +291,15 @@ func TestRetrySucceedsAfterRestart(t *testing.T) {
 	client := net.NewClient(3)
 	client.SetRetry(chain.RetryPolicy{Timeout: 5 * time.Second, MaxRetries: 5})
 	committed, timeouts := 0, 0
-	client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
-	client.OnTimeout = func(types.Hash, int, time.Duration) { timeouts++ }
+	client.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
+	client.OnTimeout = func(chain.Submission, int, time.Duration) { timeouts++ }
 	net.Start()
 	net.Nodes[3].Sim.Crash()
 	sched.At(12*time.Second, func() { net.Nodes[3].Sim.Restart() })
 
 	tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(1).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 	w.Get(0).SignNext(tx)
-	sched.After(time.Second, func() { client.Submit(tx) })
+	sched.After(time.Second, func() { client.Submit(tx, nil) })
 	sched.RunUntil(120 * time.Second)
 	net.Stop()
 	if committed != 1 {
@@ -327,7 +328,7 @@ func TestAllChainsSurviveReplicaCrashes(t *testing.T) {
 			w := wallet.New(wallet.FastScheme{}, "survive-"+name, 10)
 			client := net.NewClient(0)
 			committed := 0
-			client.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { committed++ }
+			client.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { committed++ }
 			net.Start()
 			// Crash two replicas early, including a node that would be an
 			// in-turn proposer for upcoming heights.
@@ -340,7 +341,7 @@ func TestAllChainsSurviveReplicaCrashes(t *testing.T) {
 				sched.At(time.Second+time.Duration(i)*200*time.Millisecond, func() {
 					tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1 << 30}
 					w.Get(i % 10).SignNext(tx)
-					client.Submit(tx)
+					client.Submit(tx, nil)
 				})
 			}
 			sched.RunUntil(180 * time.Second)
@@ -350,5 +351,54 @@ func TestAllChainsSurviveReplicaCrashes(t *testing.T) {
 					name, committed, net.Height())
 			}
 		})
+	}
+}
+
+// TestSolanaExpiredTransactionsLeaveNoNetworkState is the regression test
+// for a leak: the network used to index every admitted transaction's origin
+// node and forget the entry only when the transaction was packed, so one
+// evicted by the recent-blockhash TTL stayed indexed for the rest of the
+// run. Transactions stranded at a cut-off, crashed node outlive the TTL
+// here; afterwards the network's checkpoint section must be what it is for
+// a network that never saw them.
+func TestSolanaExpiredTransactionsLeaveNoNetworkState(t *testing.T) {
+	const stranded = 5
+	run := func(submit int) (*chain.Network, []snapshot.Field) {
+		sched, net := testNet(t, "solana", 4)
+		w := wallet.New(wallet.FastScheme{}, "ttl-leak", stranded)
+		net.Start()
+		net.Net.Partition(map[simnet.NodeID]int{net.Nodes[3].Sim.ID: 1})
+		for i := 0; i < submit; i++ {
+			tx := &types.Transaction{Kind: types.KindTransfer, To: w.Get(0).Address, Value: 1, GasLimit: 21000, GasPrice: 1}
+			w.Get(i).SignNext(tx)
+			if err := net.Nodes[3].SubmitTx(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Nodes[3].Sim.Crash() // its own leader slots are skipped too
+		sched.RunUntil(net.Params.TxTTL + 10*time.Second)
+		net.Stop()
+		enc := snapshot.NewEncoder()
+		net.SnapshotState(enc)
+		fields, err := snapshot.DecodePayload(enc.Payload())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, fields
+	}
+	net, got := run(stranded)
+	if net.Pool.Len() != 0 || net.Pool.Dropped() != stranded || net.TotalCommittedTxs != 0 {
+		t.Fatalf("stranded transactions not evicted: %d pooled, %d dropped, %d committed",
+			net.Pool.Len(), net.Pool.Dropped(), net.TotalCommittedTxs)
+	}
+	_, want := run(0)
+	if len(got) != len(want) {
+		t.Fatalf("checkpoint section has %d fields, %d on the untouched network", len(got), len(want))
+	}
+	for i, f := range got {
+		if f.Label != want[i].Label || f.Value() != want[i].Value() {
+			t.Errorf("%s = %s after the eviction, %s on a network that never saw the transactions",
+				f.Label, f.Value(), want[i].Value())
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"diablo/internal/chains/chain"
 	"diablo/internal/types"
 	"diablo/internal/wallet"
 )
@@ -30,7 +31,7 @@ func TestBaseFeeRisesUnderLoadAndFalls(t *testing.T) {
 				GasLimit: 21000, GasPrice: net.BaseFee() * 2,
 			}
 			w.Get(i % 200).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(70 * time.Second)
@@ -52,8 +53,8 @@ func TestUnderpricedTransactionWaitsForFeeToFall(t *testing.T) {
 	client := net.NewClient(0)
 	decidedCheap := false
 	var cheapID types.Hash
-	client.OnDecided = func(id types.Hash, _ types.ExecStatus, _ time.Duration) {
-		if id == cheapID {
+	client.OnDecided = func(sub chain.Submission, _ types.ExecStatus, _ time.Duration) {
+		if sub.ID == cheapID {
 			decidedCheap = true
 		}
 	}
@@ -67,7 +68,7 @@ func TestUnderpricedTransactionWaitsForFeeToFall(t *testing.T) {
 				GasLimit: 21000, GasPrice: net.BaseFee() * 4,
 			}
 			w.Get(i%199 + 1).SignNext(tx)
-			client.Submit(tx)
+			client.Submit(tx, nil)
 		})
 	}
 	// At the congestion peak, submit a transaction pre-signed at the
@@ -83,7 +84,7 @@ func TestUnderpricedTransactionWaitsForFeeToFall(t *testing.T) {
 		}
 		w.Get(0).SignNext(tx)
 		cheapID = tx.ID()
-		client.Submit(tx)
+		client.Submit(tx, nil)
 	})
 	sched.RunUntil(41 * time.Second)
 	if decidedCheap {

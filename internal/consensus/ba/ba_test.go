@@ -79,12 +79,12 @@ func TestRoundsCommitWithoutForks(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "ba", 10)
 	c := net.NewClient(0)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	for i := 0; i < 10; i++ {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		w.Get(i).SignNext(tx)
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	}
 	sched.RunUntil(60 * time.Second)
 	net.Stop()

@@ -51,7 +51,7 @@ func TestThroughputBoundedByGasTimesPeriod(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "clique", 100)
 	c := net.NewClient(0)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	// Offer far more than 5M gas / 21k / 5s = ~47 TPS can absorb.
 	for i := 0; i < 2000; i++ {
@@ -59,7 +59,7 @@ func TestThroughputBoundedByGasTimesPeriod(t *testing.T) {
 		sched.At(time.Duration(i)*5*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 			w.Get(i % 100).SignNext(tx)
-			c.Submit(tx)
+			c.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(31 * time.Second)
@@ -80,13 +80,13 @@ func TestConfirmationDepthDelaysDecision(t *testing.T) {
 	c := net.NewClient(0)
 	var latency time.Duration
 	var submitAt time.Duration
-	c.OnDecided = func(_ types.Hash, _ types.ExecStatus, at time.Duration) { latency = at - submitAt }
+	c.OnDecided = func(_ chain.Submission, _ types.ExecStatus, at time.Duration) { latency = at - submitAt }
 	net.Start()
 	sched.After(100*time.Millisecond, func() {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		w.Get(0).SignNext(tx)
 		submitAt = sched.Now()
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	})
 	sched.RunUntil(30 * time.Second)
 	net.Stop()

@@ -38,14 +38,14 @@ func TestSuperblocksCommitEverywhere(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "dbft-unit", 10)
 	c := net.NewClient(4)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	for i := 0; i < 20; i++ {
 		i := i
 		sched.At(time.Duration(i)*100*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 			w.Get(i % 10).SignNext(tx)
-			c.Submit(tx)
+			c.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(60 * time.Second)
@@ -85,7 +85,7 @@ func TestNoLeaderBottleneckInDissemination(t *testing.T) {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		tx.Data = make([]byte, 400) // fat transactions
 		w.Get(i % 100).SignNext(tx)
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	}
 	sched.RunUntil(20 * time.Second)
 	net.Stop()

@@ -41,7 +41,7 @@ func TestThreeChainCommitLatency(t *testing.T) {
 	var latency time.Duration
 	var submitAt time.Duration
 	decided := 0
-	c.OnDecided = func(_ types.Hash, _ types.ExecStatus, at time.Duration) {
+	c.OnDecided = func(_ chain.Submission, _ types.ExecStatus, at time.Duration) {
 		decided++
 		latency = at - submitAt
 	}
@@ -50,7 +50,7 @@ func TestThreeChainCommitLatency(t *testing.T) {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		w.Get(0).SignNext(tx)
 		submitAt = sched.Now()
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	})
 	sched.RunUntil(30 * time.Second)
 	net.Stop()
@@ -76,12 +76,12 @@ func TestPacemakerTimesOutOnWAN(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "hs-wan", 4)
 	c := net.NewClient(0)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	sched.After(time.Second, func() {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		w.Get(0).SignNext(tx)
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	})
 	sched.RunUntil(120 * time.Second)
 	net.Stop()
@@ -97,7 +97,7 @@ func TestIdlePacemakerFlushesAndRests(t *testing.T) {
 	net.Start()
 	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 	w.Get(0).SignNext(tx)
-	sched.After(time.Second, func() { c.Submit(tx) })
+	sched.After(time.Second, func() { c.Submit(tx, nil) })
 	sched.RunUntil(60 * time.Second)
 	viewsAfterFlush := eng.Views
 	sched.RunUntil(120 * time.Second)

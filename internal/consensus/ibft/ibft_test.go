@@ -47,12 +47,12 @@ func TestThreePhaseCommit(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "ibft", 4)
 	delivered := 0
 	c := net.NewClient(0)
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { delivered++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { delivered++ }
 	net.Start()
 	for i := 0; i < 4; i++ {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		w.Get(i).SignNext(tx)
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	}
 	sched.RunUntil(30 * time.Second)
 	net.Stop()
@@ -75,11 +75,11 @@ func TestRoundChangeUnderExtremeDelay(t *testing.T) {
 	net.Net.SetExtraDelay(11 * time.Second)
 	delivered := 0
 	c := net.NewClient(0)
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { delivered++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { delivered++ }
 	net.Start()
 	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 	w.Get(0).SignNext(tx)
-	c.Submit(tx)
+	c.Submit(tx, nil)
 	sched.RunUntil(300 * time.Second)
 	net.Stop()
 	if eng.RoundChanges == 0 {

@@ -37,14 +37,14 @@ func TestSingleElectionThenReplication(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "raft-unit", 5)
 	c := net.NewClient(2)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	for i := 0; i < 10; i++ {
 		i := i
 		sched.At(2*time.Second+time.Duration(i)*100*time.Millisecond, func() {
 			tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 			w.Get(i % 5).SignNext(tx)
-			c.Submit(tx)
+			c.Submit(tx, nil)
 		})
 	}
 	sched.RunUntil(30 * time.Second)

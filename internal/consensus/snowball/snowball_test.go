@@ -38,12 +38,12 @@ func TestSamplingReachesAcceptanceEverywhere(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "snow", 4)
 	c := net.NewClient(3)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	for i := 0; i < 4; i++ {
 		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 		w.Get(i).SignNext(tx)
-		c.Submit(tx)
+		c.Submit(tx, nil)
 	}
 	sched.RunUntil(60 * time.Second)
 	net.Stop()
@@ -87,11 +87,11 @@ func TestSingleNodeSelfChit(t *testing.T) {
 	w := wallet.New(wallet.FastScheme{}, "snow-solo", 1)
 	c := net.NewClient(0)
 	decided := 0
-	c.OnDecided = func(types.Hash, types.ExecStatus, time.Duration) { decided++ }
+	c.OnDecided = func(chain.Submission, types.ExecStatus, time.Duration) { decided++ }
 	net.Start()
 	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000}
 	w.Get(0).SignNext(tx)
-	c.Submit(tx)
+	c.Submit(tx, nil)
 	sched.RunUntil(30 * time.Second)
 	net.Stop()
 	if decided != 1 {

@@ -93,15 +93,17 @@ func (a *SimAdapter) CreateClient(endpoints []Endpoint) (Client, error) {
 	if idx < 0 || idx >= len(a.Net.Nodes) {
 		return nil, fmt.Errorf("core: endpoint %d out of range", idx)
 	}
+	// The chain client's one record per in-flight transaction carries the
+	// submission time and the engine's token, so the adapter keeps none.
 	c := &simClient{adapter: a, client: a.Net.NewClient(idx)}
-	c.client.OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
-		c.decide(id, status, at)
+	c.client.OnDecided = func(s chain.Submission, status types.ExecStatus, at time.Duration) {
+		c.report(s, Observation{Submitted: s.Submitted, Decided: at, Status: status})
 	}
-	c.client.OnDropped = func(id types.Hash, err error, at time.Duration) {
-		c.drop(id, at)
+	c.client.OnDropped = func(s chain.Submission, _ error, _ time.Duration) {
+		c.report(s, Observation{Submitted: s.Submitted, Decided: -1, Dropped: true})
 	}
-	c.client.OnTimeout = func(id types.Hash, attempts int, at time.Duration) {
-		c.timeout(id, at)
+	c.client.OnTimeout = func(s chain.Submission, _ int, _ time.Duration) {
+		c.report(s, Observation{Submitted: s.Submitted, Decided: -1, TimedOut: true})
 	}
 	return c, nil
 }
@@ -116,20 +118,14 @@ type simClient struct {
 	adapter *SimAdapter
 	client  *chain.Client
 	observe func(any, Observation)
-	// inflight maps submitted ids to their submission context.
-	inflight map[types.Hash]inflightTx
-}
-
-type inflightTx struct {
-	submitted time.Duration
-	token     any
 }
 
 // Observe implements Client.
-func (c *simClient) Observe(fn func(any, Observation)) {
-	c.observe = fn
-	if c.inflight == nil {
-		c.inflight = make(map[types.Hash]inflightTx)
+func (c *simClient) Observe(fn func(any, Observation)) { c.observe = fn }
+
+func (c *simClient) report(s chain.Submission, o Observation) {
+	if c.observe != nil {
+		c.observe(s.Token, o)
 	}
 }
 
@@ -168,13 +164,7 @@ func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: contract %q not deployed", spec.Contract.Name)
 		}
-		var calldata []uint64
-		var err error
-		if contract.AVM != nil {
-			calldata, err = contract.AVM.AppArgs(spec.Function, spec.Args...)
-		} else {
-			calldata, err = contract.ABI.Calldata(spec.Function, spec.Args...)
-		}
+		data, err := contract.InvokeData(spec.Function, spec.Args, spec.ExtraDataBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +173,7 @@ func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
 			To:       contract.Address,
 			GasLimit: c.adapter.Net.Params.DefaultGasLimit,
 			GasPrice: gasPrice,
-			Data:     chain.EncodeInvokeData(calldata, spec.ExtraDataBytes),
+			Data:     data,
 		}
 	}
 	if spec.Implicit {
@@ -200,50 +190,12 @@ func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
 	return simInteraction{tx: tx}, nil
 }
 
-// Trigger implements Client: record the submission time and send.
+// Trigger implements Client: send, tagging the submission with the token.
 func (c *simClient) Trigger(e Interaction, token any) error {
 	si, ok := e.(simInteraction)
 	if !ok {
 		return fmt.Errorf("core: foreign interaction %T", e)
 	}
-	if c.inflight == nil {
-		c.inflight = make(map[types.Hash]inflightTx)
-	}
-	now := c.adapter.Net.Sched.Now()
-	c.inflight[si.tx.ID()] = inflightTx{submitted: now, token: token}
-	c.client.Submit(si.tx)
+	c.client.Submit(si.tx, token)
 	return nil
-}
-
-func (c *simClient) decide(id types.Hash, status types.ExecStatus, at time.Duration) {
-	in, ok := c.inflight[id]
-	if !ok {
-		return
-	}
-	delete(c.inflight, id)
-	if c.observe != nil {
-		c.observe(in.token, Observation{Submitted: in.submitted, Decided: at, Status: status})
-	}
-}
-
-func (c *simClient) timeout(id types.Hash, at time.Duration) {
-	in, ok := c.inflight[id]
-	if !ok {
-		return
-	}
-	delete(c.inflight, id)
-	if c.observe != nil {
-		c.observe(in.token, Observation{Submitted: in.submitted, Decided: -1, TimedOut: true})
-	}
-}
-
-func (c *simClient) drop(id types.Hash, at time.Duration) {
-	in, ok := c.inflight[id]
-	if !ok {
-		return
-	}
-	delete(c.inflight, id)
-	if c.observe != nil {
-		c.observe(in.token, Observation{Submitted: in.submitted, Decided: -1, Dropped: true})
-	}
 }

@@ -274,3 +274,67 @@ func TestEngineGafamMultiTrace(t *testing.T) {
 }
 
 var _ = stats.Summary{} // keep stats import if assertions change
+
+// Allocation budget of the client path on a deployed 20-node Quorum: Encode
+// (calldata, transaction, signature), Trigger (the chain client's one
+// pending record) and the RPC event that carries the transaction into the
+// pool — five allocations per transaction with map and slice growth
+// amortised in, for provisioned senders and for implicit stream senders.
+func TestSubmitPathAllocationBudget(t *testing.T) {
+	const batch = 256
+	sched, _, a := newAdapter(t, "quorum", 20)
+	fifa, err := a.CreateResource(ResourceSpec{Kind: ResourceContract, Name: "fifa"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nft, err := a.CreateResource(ResourceSpec{Kind: ResourceContract, Name: "nft"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := a.CreateClient([]Endpoint{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Observe(func(any, Observation) {})
+	tokens := &recordTokens{}
+	next := uint64(0)
+	for _, tc := range []struct {
+		name string
+		spec func() InteractionSpec
+	}{
+		{"explicit", func() InteractionSpec {
+			return InteractionSpec{Kind: InteractInvoke, From: int(next % 50), Contract: fifa, Function: "add"}
+		}},
+		// 64 implicit clients in rounds: the lazy wallet's cache holds them
+		// all, so key derivation (measured on its own) stays out.
+		{"implicit", func() InteractionSpec {
+			return InteractionSpec{
+				Kind: InteractInvoke, Implicit: true, FromIndex: next % 64, Nonce: next / 64,
+				Contract: nft, Function: "mint",
+			}
+		}},
+	} {
+		spec := tc.spec
+		perBatch := testing.AllocsPerRun(20, func() {
+			for i := 0; i < batch; i++ {
+				e, err := c.Encode(spec())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Trigger(e, tokens.next(int32(next))); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			sched.RunFor(time.Millisecond) // the batch's RPC events
+		})
+		if perTx := perBatch / batch; perTx > 5 {
+			t.Errorf("%s senders: %.2f allocations per transaction, budget 5", tc.name, perTx)
+		} else {
+			t.Logf("%s senders: %.2f allocations per transaction", tc.name, perTx)
+		}
+	}
+	if got, want := a.Net.Pool.Len(), int(next); got != want {
+		t.Fatalf("pool holds %d of %d triggered transactions", got, want)
+	}
+}

@@ -110,6 +110,25 @@ type submission struct {
 // batchWindow groups submissions into one simulation event.
 const batchWindow = 50 * time.Millisecond
 
+// recordTokens hands out the record indices that ride along as trigger
+// tokens. A *int32 converts to the Client interface's `any` without
+// allocating, where a bare int32 is boxed on every Trigger; the indices are
+// carved out of chunks, so a token costs 1/tokenChunk of an allocation and a
+// chunk is collected once the transactions holding it have all settled.
+type recordTokens struct{ chunk []int32 }
+
+const tokenChunk = 1024
+
+func (t *recordTokens) next(idx int32) *int32 {
+	if len(t.chunk) == 0 {
+		t.chunk = make([]int32, tokenChunk)
+	}
+	p := &t.chunk[0]
+	t.chunk = t.chunk[1:]
+	*p = idx
+	return p
+}
+
 // Run executes a benchmark against a blockchain on the given scheduler.
 // The caller is responsible for starting the chain's block production
 // before calling Run and stopping it afterwards.
@@ -219,11 +238,11 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 
 	for ci := range clients {
 		clients[ci].Observe(func(token any, o Observation) {
-			idx, ok := token.(int32)
-			if !ok || int(idx) >= len(res.Records) {
+			idx, ok := token.(*int32)
+			if !ok || int(*idx) >= len(res.Records) {
 				return
 			}
-			rec := &res.Records[idx]
+			rec := &res.Records[*idx]
 			if o.Dropped {
 				res.Dropped++
 				spec.Metrics.Dropped.Inc()
@@ -251,6 +270,7 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 	// bound event count. Encoding (including signing) happens inside the
 	// window event, modeling Secondaries pre-signing just ahead of the
 	// send schedule.
+	tokens := &recordTokens{}
 	windows := map[int64][]submission{}
 	globalBase := int32(0)
 	for ti, tr := range spec.Traces {
@@ -304,7 +324,7 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 					res.AbortedExec++
 					continue
 				}
-				if err := clients[worker].Trigger(e, s.global); err != nil {
+				if err := clients[worker].Trigger(e, tokens.next(s.global)); err != nil {
 					res.Records[s.global].Aborted = true
 					res.AbortedExec++
 				}
@@ -322,6 +342,7 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 			res:      res,
 			spec:     &spec,
 			clients:  clients,
+			tokens:   tokens,
 			contract: contracts[src.DApp()],
 		}
 		p.start()

@@ -20,6 +20,7 @@ type streamPump struct {
 	res      *Result
 	spec     *BenchmarkSpec
 	clients  []Client
+	tokens   *recordTokens
 	contract Resource // zero when the stream sends native transfers
 
 	pending stream.Intent
@@ -106,7 +107,7 @@ func (p *streamPump) submit() {
 		p.res.AbortedExec++
 		return
 	}
-	if err := p.clients[worker].Trigger(e, idx); err != nil {
+	if err := p.clients[worker].Trigger(e, p.tokens.next(idx)); err != nil {
 		p.res.Records[idx].Aborted = true
 		p.res.AbortedExec++
 	}

@@ -60,9 +60,15 @@ type AdmitHook func(tx *types.Transaction, origin int, now time.Duration)
 // Pool is a FIFO transaction pool with policy enforcement and per-node
 // visibility. It is not safe for concurrent use; the simulation is
 // single-threaded.
+//
+// Ordering invariant: entries is sorted by Seen. Add is only ever called
+// with the scheduler's current time, which never goes back, and every
+// removal keeps the relative order; Add panics on a time before the newest
+// entry's. TakeWith relies on it twice: expired entries (MaxAge) are a
+// prefix, and no entry behind the one that ends a take needs looking at.
 type Pool struct {
 	policy   Policy
-	entries  []Entry                 // FIFO by Seen time
+	entries  []Entry                 // FIFO, sorted by Seen
 	byID     map[types.Hash]struct{} //lint:allow snapshotdrift index over entries; the entries digest covers the canonical order
 	bySender map[types.Address]int   //lint:allow snapshotdrift index over entries; the entries digest covers the canonical order
 	visible  VisibilityFunc
@@ -106,6 +112,9 @@ func (p *Pool) Add(tx *types.Transaction, origin int, now time.Duration) error {
 	if p.policy.PerSender > 0 && p.bySender[tx.From] >= p.policy.PerSender {
 		p.dropped++
 		return ErrSenderCap
+	}
+	if n := len(p.entries); n > 0 && now < p.entries[n-1].Seen {
+		panic("mempool: Add at a time before the newest pending entry")
 	}
 	p.entries = append(p.entries, Entry{Tx: tx, Origin: origin, Seen: now})
 	p.byID[id] = struct{}{}
@@ -153,6 +162,10 @@ type TakeSpec struct {
 	// refuses to pack — a censoring Byzantine proposer. Skipped entries
 	// stay visible to honest proposers.
 	Skip func(tx *types.Transaction, origin int) bool
+	// Origins, when set, receives the origin node of each returned
+	// transaction, in order: block assembly groups a block's transactions
+	// by the node their clients watch.
+	Origins *[]int32
 }
 
 // Take removes and returns up to maxTxs transactions visible to the viewer
@@ -163,7 +176,10 @@ func (p *Pool) Take(viewer int, now time.Duration, maxTxs int, maxGas uint64, ga
 	return p.TakeWith(TakeSpec{Viewer: viewer, Now: now, MaxTxs: maxTxs, MaxGas: maxGas, GasOf: gasOf})
 }
 
-// TakeWith is the generalized Take (see TakeSpec).
+// TakeWith is the generalized Take (see TakeSpec). It scans from the head
+// only as far as the entry that ends the take (MaxTxs, MaxGas or MaxCost
+// reached), so a block's worth out of a deep backlog costs O(taken +
+// skipped), not O(depth); the ordering invariant makes that exact.
 func (p *Pool) TakeWith(spec TakeSpec) []*types.Transaction {
 	var out []*types.Transaction
 	var gas uint64
@@ -172,84 +188,87 @@ func (p *Pool) TakeWith(spec TakeSpec) []*types.Transaction {
 	if spec.NextNonce != nil {
 		expect = make(map[types.Address]uint64)
 	}
-	kept := p.entries[:0]
-	taking := true
-	for _, e := range p.entries {
-		if spec.MaxAge > 0 && spec.Now-e.Seen > spec.MaxAge {
+	es := p.entries
+	kept := 0 // es[:kept] are the scanned entries that stay pooled
+	stop := 0 // es[stop:] were not looked at
+scan:
+	for ; stop < len(es); stop++ {
+		e := es[stop]
+		switch {
+		case spec.MaxAge > 0 && spec.Now-e.Seen > spec.MaxAge:
 			// Expired (stale recent-blockhash): permanently invalid.
 			p.remove(e.Tx)
 			p.dropped++
 			continue
-		}
-		if !taking {
-			kept = append(kept, e)
-			continue
-		}
-		if p.visible != nil && e.Seen+p.visible(e.Origin, spec.Viewer) > spec.Now {
-			kept = append(kept, e)
-			continue
-		}
-		if spec.Skip != nil && spec.Skip(e.Tx, e.Origin) {
+		case p.visible != nil && e.Seen+p.visible(e.Origin, spec.Viewer) > spec.Now:
+			// Not gossiped to this viewer yet.
+		case spec.Skip != nil && spec.Skip(e.Tx, e.Origin):
 			// Censored by this proposer: stays pooled for honest ones.
-			kept = append(kept, e)
-			continue
-		}
-		if spec.MinGasPrice > 0 && e.Tx.GasPrice < spec.MinGasPrice {
+		case spec.MinGasPrice > 0 && e.Tx.GasPrice < spec.MinGasPrice:
 			// Underpriced under the current base fee: stays pooled until
 			// the fee falls (or forever, the paper's stuck-transaction
 			// risk).
-			kept = append(kept, e)
-			continue
-		}
-		if spec.NextNonce != nil {
-			want, seen := expect[e.Tx.From]
-			if !seen {
-				want = spec.NextNonce(e.Tx.From)
+		case spec.NextNonce != nil && e.Tx.Nonce != nextNonce(expect, spec.NextNonce, e.Tx.From):
+			// Out of order: a gap stalls this sender.
+		default:
+			g := uint64(0)
+			if spec.GasOf != nil {
+				g = spec.GasOf(e.Tx)
 			}
-			if e.Tx.Nonce != want {
-				// Out of order: a gap stalls this sender.
-				kept = append(kept, e)
+			var c time.Duration
+			if spec.CostOf != nil {
+				c = spec.CostOf(e.Tx)
+			}
+			if len(out) > 0 && (spec.MaxGas > 0 && gas+g > spec.MaxGas || spec.MaxCost > 0 && cost+c > spec.MaxCost) {
+				break scan // the block is full; e and all behind it stay
+			}
+			p.remove(e.Tx)
+			if spec.MaxGas > 0 && g > spec.MaxGas {
+				// Single transaction above the block gas limit can never be
+				// included; drop it so it does not wedge the pool head.
+				p.dropped++
 				continue
 			}
-		}
-		g := uint64(0)
-		if spec.GasOf != nil {
-			g = spec.GasOf(e.Tx)
-		}
-		var c time.Duration
-		if spec.CostOf != nil {
-			c = spec.CostOf(e.Tx)
-		}
-		if spec.MaxGas > 0 && gas+g > spec.MaxGas && len(out) > 0 {
-			kept = append(kept, e)
-			taking = false
+			out = append(out, e.Tx)
+			if spec.Origins != nil {
+				*spec.Origins = append(*spec.Origins, int32(e.Origin))
+			}
+			gas += g
+			cost += c
+			if expect != nil {
+				expect[e.Tx.From] = e.Tx.Nonce + 1
+			}
+			if spec.MaxTxs > 0 && len(out) >= spec.MaxTxs {
+				stop++
+				break scan
+			}
 			continue
 		}
-		if spec.MaxCost > 0 && cost+c > spec.MaxCost && len(out) > 0 {
-			kept = append(kept, e)
-			taking = false
-			continue
-		}
-		if spec.MaxGas > 0 && g > spec.MaxGas {
-			// Single transaction above the block gas limit can never be
-			// included; drop it so it does not wedge the pool head.
-			p.remove(e.Tx)
-			p.dropped++
-			continue
-		}
-		out = append(out, e.Tx)
-		gas += g
-		cost += c
-		if expect != nil {
-			expect[e.Tx.From] = e.Tx.Nonce + 1
-		}
-		p.remove(e.Tx)
-		if spec.MaxTxs > 0 && len(out) >= spec.MaxTxs {
-			taking = false
-		}
+		es[kept] = e
+		kept++
 	}
-	p.entries = kept
+	if stop == len(es) {
+		// Scanned to the end: compact in place and keep the capacity.
+		clear(es[kept:])
+		p.entries = es[:kept]
+		return out
+	}
+	// Slide the kept entries up against the untouched tail and drop the
+	// vacated head; cleared so the taken transactions are not kept reachable.
+	head := stop - kept
+	copy(es[head:stop], es[:kept])
+	clear(es[:head])
+	p.entries = es[head:]
 	return out
+}
+
+// nextNonce is the nonce a sender's next taken transaction must carry: one
+// past its last transaction taken in this call, else what the chain expects.
+func nextNonce(taken map[types.Address]uint64, chain func(types.Address) uint64, from types.Address) uint64 {
+	if n, ok := taken[from]; ok {
+		return n
+	}
+	return chain(from)
 }
 
 // remove updates the indexes for a transaction leaving the pool. The entry

@@ -279,6 +279,215 @@ func TestPoolInvariantsProperty(t *testing.T) {
 	}
 }
 
+// takeFullScan is the pre-prefix TakeWith, kept as the reference the
+// property test below compares against: it visits every entry on every
+// take and so depends on no ordering of the pool.
+func takeFullScan(p *Pool, spec TakeSpec) []*types.Transaction {
+	var out []*types.Transaction
+	var gas uint64
+	var cost time.Duration
+	var expect map[types.Address]uint64
+	if spec.NextNonce != nil {
+		expect = make(map[types.Address]uint64)
+	}
+	var kept []Entry
+	taking := true
+	for _, e := range p.entries {
+		if spec.MaxAge > 0 && spec.Now-e.Seen > spec.MaxAge {
+			p.remove(e.Tx)
+			p.dropped++
+			continue
+		}
+		if !taking {
+			kept = append(kept, e)
+			continue
+		}
+		if p.visible != nil && e.Seen+p.visible(e.Origin, spec.Viewer) > spec.Now {
+			kept = append(kept, e)
+			continue
+		}
+		if spec.Skip != nil && spec.Skip(e.Tx, e.Origin) {
+			kept = append(kept, e)
+			continue
+		}
+		if spec.MinGasPrice > 0 && e.Tx.GasPrice < spec.MinGasPrice {
+			kept = append(kept, e)
+			continue
+		}
+		if spec.NextNonce != nil {
+			want, seen := expect[e.Tx.From]
+			if !seen {
+				want = spec.NextNonce(e.Tx.From)
+			}
+			if e.Tx.Nonce != want {
+				kept = append(kept, e)
+				continue
+			}
+		}
+		g := uint64(0)
+		if spec.GasOf != nil {
+			g = spec.GasOf(e.Tx)
+		}
+		var c time.Duration
+		if spec.CostOf != nil {
+			c = spec.CostOf(e.Tx)
+		}
+		if spec.MaxGas > 0 && gas+g > spec.MaxGas && len(out) > 0 {
+			kept = append(kept, e)
+			taking = false
+			continue
+		}
+		if spec.MaxCost > 0 && cost+c > spec.MaxCost && len(out) > 0 {
+			kept = append(kept, e)
+			taking = false
+			continue
+		}
+		if spec.MaxGas > 0 && g > spec.MaxGas {
+			p.remove(e.Tx)
+			p.dropped++
+			continue
+		}
+		out = append(out, e.Tx)
+		if spec.Origins != nil {
+			*spec.Origins = append(*spec.Origins, int32(e.Origin))
+		}
+		gas += g
+		cost += c
+		if expect != nil {
+			expect[e.Tx.From] = e.Tx.Nonce + 1
+		}
+		p.remove(e.Tx)
+		if spec.MaxTxs > 0 && len(out) >= spec.MaxTxs {
+			taking = false
+		}
+	}
+	p.entries = kept
+	return out
+}
+
+// Property: the prefix take returns what a full scan of the pool returns —
+// same transactions and origins, same entries left in the same order, same
+// drop count — over random pools, specs and interleaved adds.
+func TestPrefixTakeMatchesFullScan(t *testing.T) {
+	const nodes, senders = 4, 6
+	visible := func(origin, viewer int) time.Duration {
+		return time.Duration((origin+3*viewer)%nodes) * 40 * time.Millisecond
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		policy := Policy{Capacity: rng.Intn(3) * 150, PerSender: rng.Intn(2) * 60}
+		got, want := New(policy, visible), New(policy, visible)
+		chainNonce := map[types.Address]uint64{} // what NextNonce reports
+		nextNonce := make([]uint64, senders)
+		now := time.Duration(0)
+		for step := 0; step < 60; step++ {
+			for i := rng.Intn(30); i > 0; i-- {
+				now += time.Duration(rng.Intn(30)) * time.Millisecond
+				s := rng.Intn(senders)
+				x := &types.Transaction{
+					From: types.Address{byte(s)}, Nonce: nextNonce[s],
+					GasLimit: uint64(1+rng.Intn(12)) * 10_000, GasPrice: uint64(1 + rng.Intn(4)),
+				}
+				if rng.Intn(10) > 0 { // one in ten leaves a nonce gap
+					nextNonce[s]++
+				}
+				origin := rng.Intn(nodes)
+				if e1, e2 := got.Add(x, origin, now), want.Add(x, origin, now); e1 != e2 {
+					t.Logf("seed %d step %d: Add %v vs %v", seed, step, e1, e2)
+					return false
+				}
+			}
+			now += time.Duration(rng.Intn(400)) * time.Millisecond
+			var o1, o2 []int32
+			spec := TakeSpec{Viewer: rng.Intn(nodes), Now: now, GasOf: gasOf}
+			if rng.Intn(3) > 0 {
+				spec.MaxTxs = 1 + rng.Intn(25)
+			}
+			if rng.Intn(2) == 0 {
+				spec.MaxGas = uint64(5+rng.Intn(100)) * 10_000 // some single transactions exceed it
+			}
+			if rng.Intn(3) == 0 {
+				spec.MaxCost = time.Duration(1+rng.Intn(10)) * time.Millisecond
+				spec.CostOf = func(x *types.Transaction) time.Duration { return time.Duration(x.GasPrice) * time.Millisecond }
+			}
+			if rng.Intn(3) == 0 {
+				spec.MaxAge = time.Duration(1+rng.Intn(3)) * time.Second
+			}
+			if rng.Intn(3) == 0 {
+				spec.NextNonce = func(a types.Address) uint64 { return chainNonce[a] }
+			}
+			if rng.Intn(3) == 0 {
+				spec.MinGasPrice = uint64(1 + rng.Intn(3))
+			}
+			if rng.Intn(4) == 0 {
+				censored := rng.Intn(nodes)
+				spec.Skip = func(_ *types.Transaction, origin int) bool { return origin == censored }
+			}
+			spec.Origins = &o1
+			a := got.TakeWith(spec)
+			spec.Origins = &o2
+			b := takeFullScan(want, spec)
+			for _, x := range b {
+				if x.Nonce >= chainNonce[x.From] {
+					chainNonce[x.From] = x.Nonce + 1
+				}
+			}
+			if fmt.Sprint(a) != fmt.Sprint(b) || fmt.Sprint(o1) != fmt.Sprint(o2) || len(o1) != len(a) ||
+				fmt.Sprint(got.entries) != fmt.Sprint(want.entries) ||
+				got.Dropped() != want.Dropped() || got.Len() != want.Len() {
+				t.Logf("seed %d step %d: took %d vs %d, left %d vs %d, dropped %d vs %d", seed, step,
+					len(a), len(b), got.Len(), want.Len(), got.Dropped(), want.Dropped())
+				return false
+			}
+			for _, x := range a {
+				if got.Contains(x.ID()) {
+					t.Logf("seed %d step %d: taken transaction still indexed", seed, step)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The ordering invariant the prefix take rests on: entries stay sorted by
+// Seen through adds, takes and evictions, an Add that would break it is
+// refused loudly, and a take leaves no taken transaction reachable in the
+// slice's slack.
+func TestPoolOrderedBySeen(t *testing.T) {
+	p := New(Policy{}, func(origin, viewer int) time.Duration { return time.Duration(origin) * time.Second })
+	for i := uint64(0); i < 40; i++ {
+		p.Add(tx(byte(i%5), i), int(i%3), time.Duration(i)*100*time.Millisecond)
+	}
+	backing := p.entries
+	p.TakeWith(TakeSpec{Viewer: 0, Now: 4 * time.Second, MaxTxs: 7})
+	p.RemoveCommitted(map[types.Hash]struct{}{p.entries[3].Tx.ID(): {}})
+	p.TakeWith(TakeSpec{Viewer: 0, Now: 5 * time.Second, MaxAge: 3 * time.Second, MaxTxs: 2})
+	for i := 1; i < len(p.entries); i++ {
+		if p.entries[i].Seen < p.entries[i-1].Seen {
+			t.Fatalf("entries out of Seen order at %d", i)
+		}
+	}
+	live := map[*types.Transaction]bool{}
+	for _, e := range p.entries {
+		live[e.Tx] = true
+	}
+	for i, e := range backing {
+		if e.Tx != nil && !live[e.Tx] {
+			t.Fatalf("backing slot %d still references a transaction that left the pool", i)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add before the newest entry's time did not panic")
+		}
+	}()
+	p.Add(tx(9, 0), 0, time.Second)
+}
+
 func BenchmarkPoolAddTake(b *testing.B) {
 	p := New(Policy{Capacity: 100000}, nil)
 	txs := make([]*types.Transaction, 1000)
@@ -299,5 +508,3 @@ func BenchmarkPoolAddTake(b *testing.B) {
 		}
 	}
 }
-
-var _ = fmt.Sprint // keep fmt for debugging edits

@@ -36,17 +36,17 @@ type AVMCompiled struct {
 // return value (AVM programs report results through logs).
 const RetValueEventID = uint64(1)<<63 | 1
 
+// Call validates a call of fn with nargs arguments and returns the
+// function's metadata (its selector is application argument 0).
+func (c *AVMCompiled) Call(fn string, nargs int) (*FuncMeta, error) {
+	return resolveCall(c.Name, c.Functions, fn, nargs)
+}
+
 // AppArgs builds the application arguments to invoke a function.
 func (c *AVMCompiled) AppArgs(fn string, args ...uint64) ([]uint64, error) {
-	meta, ok := c.Functions[fn]
-	if !ok {
-		return nil, fmt.Errorf("minisol: contract %s has no function %q", c.Name, fn)
-	}
-	if !meta.Public {
-		return nil, fmt.Errorf("minisol: function %q is not public", fn)
-	}
-	if len(args) != meta.NumParams {
-		return nil, fmt.Errorf("minisol: function %q takes %d arguments, got %d", fn, meta.NumParams, len(args))
+	meta, err := c.Call(fn, len(args))
+	if err != nil {
+		return nil, err
 	}
 	out := make([]uint64, 0, 1+len(args))
 	out = append(out, meta.Selector)

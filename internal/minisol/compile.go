@@ -32,17 +32,33 @@ func Selector(name string, numParams int) uint64 {
 	return binary.BigEndian.Uint64(h[:8])
 }
 
-// Calldata builds the calldata words to invoke a compiled function.
-func (c *Compiled) Calldata(fn string, args ...uint64) ([]uint64, error) {
-	meta, ok := c.Functions[fn]
+// resolveCall finds the public function fn of a contract and checks that it
+// takes nargs arguments; both backends validate calls the same way.
+func resolveCall(contract string, fns map[string]*FuncMeta, fn string, nargs int) (*FuncMeta, error) {
+	meta, ok := fns[fn]
 	if !ok {
-		return nil, fmt.Errorf("minisol: contract %s has no function %q", c.Name, fn)
+		return nil, fmt.Errorf("minisol: contract %s has no function %q", contract, fn)
 	}
 	if !meta.Public {
 		return nil, fmt.Errorf("minisol: function %q is not public", fn)
 	}
-	if len(args) != meta.NumParams {
-		return nil, fmt.Errorf("minisol: function %q takes %d arguments, got %d", fn, meta.NumParams, len(args))
+	if nargs != meta.NumParams {
+		return nil, fmt.Errorf("minisol: function %q takes %d arguments, got %d", fn, meta.NumParams, nargs)
+	}
+	return meta, nil
+}
+
+// Call validates a call of fn with nargs arguments and returns the
+// function's metadata (its selector is calldata word 0).
+func (c *Compiled) Call(fn string, nargs int) (*FuncMeta, error) {
+	return resolveCall(c.Name, c.Functions, fn, nargs)
+}
+
+// Calldata builds the calldata words to invoke a compiled function.
+func (c *Compiled) Calldata(fn string, args ...uint64) ([]uint64, error) {
+	meta, err := c.Call(fn, len(args))
+	if err != nil {
+		return nil, err
 	}
 	return vm.EncodeCalldata(meta.Selector, args...), nil
 }

@@ -324,18 +324,14 @@ func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
 	for i := range clients {
 		clients[i] = net0.NewClient(i % len(net0.Nodes))
 	}
-	index := make(map[types.Hash]int, len(all))
-	for i, s := range all {
-		index[s.tx.ID()] = i
-	}
+	// Each submission's token is its index into all.
 	for i := range clients {
-		clients[i].OnDecided = func(id types.Hash, status types.ExecStatus, at time.Duration) {
-			if k, ok := index[id]; ok {
-				commitAt[k] = at
-				statuses[k] = status
-			}
+		clients[i].OnDecided = func(s chain.Submission, status types.ExecStatus, at time.Duration) {
+			k := s.Token.(int)
+			commitAt[k] = at
+			statuses[k] = status
 		}
-		clients[i].OnDropped = func(id types.Hash, err error, at time.Duration) {
+		clients[i].OnDropped = func(chain.Submission, error, time.Duration) {
 			droppedCount++
 		}
 	}
@@ -348,7 +344,7 @@ func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
 		if s.at > maxAt {
 			maxAt = s.at
 		}
-		sched.AtKind(sim.KindSubmission, s.at, func() { clients[s.sec].Submit(s.tx) })
+		sched.AtKind(sim.KindSubmission, s.at, func() { clients[s.sec].Submit(s.tx, k) })
 	}
 	cfg.logf("starting benchmark: %d transactions over %s of virtual time", len(all), maxAt.Round(time.Second))
 	sched.RunUntil(maxAt + 120*time.Second)

@@ -1,10 +1,13 @@
 package remote
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"diablo/internal/spec"
 )
@@ -50,6 +53,20 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
+// runSecondary is RunSecondary for a test whose primary starts concurrently:
+// a Secondary dials once, so one scheduled ahead of the primary's Listen is
+// refused and the primary would wait for it forever. A refused dial has no
+// effect on the primary; retry it until the listener is up.
+func runSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
+	for attempt := 0; ; attempt++ {
+		st, err := RunSecondary(cfg)
+		if !errors.Is(err, syscall.ECONNREFUSED) || attempt == 500 {
+			return st, err
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // runDistributed spins up a primary and n secondaries over localhost TCP.
 func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryResult, []*SecondaryStats) {
 	t.Helper()
@@ -71,7 +88,7 @@ func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryRes
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := RunSecondary(SecondaryConfig{
+			st, err := runSecondary(SecondaryConfig{
 				Primary:  addr,
 				Location: fmt.Sprintf("zone-%d", i),
 			})
@@ -189,7 +206,7 @@ func TestDistributedAVMChain(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, secErr = RunSecondary(SecondaryConfig{Primary: addr, Location: "tokyo"})
+		_, secErr = runSecondary(SecondaryConfig{Primary: addr, Location: "tokyo"})
 	}()
 	res, err := RunPrimary(PrimaryConfig{
 		Listen: addr, Secondaries: 1,

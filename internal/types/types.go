@@ -53,7 +53,7 @@ func HashBytes(data ...[]byte) Hash {
 		h.Write(d)
 	}
 	var out Hash
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -113,29 +113,53 @@ type Transaction struct {
 	Sig    []byte // signature over ID()
 	PubKey []byte // signer public key
 
-	hash Hash // cached; computed lazily
+	hash Hash // cached by Seal at signing, else computed lazily by ID
+}
+
+// signingFixedSize is the signing encoding's size without Data.
+const signingFixedSize = 1 + 2*AddressSize + 4*8
+
+// AppendSigningBytes appends the canonical byte encoding the signature
+// covers to dst and returns the extended slice.
+//
+//perf:noalloc
+func (tx *Transaction) AppendSigningBytes(dst []byte) []byte {
+	dst = append(dst, byte(tx.Kind))
+	dst = append(dst, tx.From[:]...)
+	dst = append(dst, tx.To[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, tx.Nonce)
+	dst = binary.BigEndian.AppendUint64(dst, tx.Value)
+	dst = binary.BigEndian.AppendUint64(dst, tx.GasLimit)
+	dst = binary.BigEndian.AppendUint64(dst, tx.GasPrice)
+	return append(dst, tx.Data...)
 }
 
 // SigningBytes returns the canonical byte encoding the signature covers.
 func (tx *Transaction) SigningBytes() []byte {
-	buf := make([]byte, 0, 1+AddressSize*2+8*4+len(tx.Data))
-	buf = append(buf, byte(tx.Kind))
-	buf = append(buf, tx.From[:]...)
-	buf = append(buf, tx.To[:]...)
-	var u [8]byte
-	for _, v := range []uint64{tx.Nonce, tx.Value, tx.GasLimit, tx.GasPrice} {
-		binary.BigEndian.PutUint64(u[:], v)
-		buf = append(buf, u[:]...)
-	}
-	buf = append(buf, tx.Data...)
+	return tx.AppendSigningBytes(make([]byte, 0, signingFixedSize+len(tx.Data)))
+}
+
+// Seal encodes the signing bytes into buf (reusing its capacity), caches
+// the transaction ID computed from them and returns them for the signer:
+// one pass over the transaction where SigningBytes followed by ID makes
+// two. The transaction must not be mutated afterwards.
+func (tx *Transaction) Seal(buf []byte) []byte {
+	buf = tx.AppendSigningBytes(buf[:0])
+	tx.hash = sha256.Sum256(buf)
 	return buf
 }
 
 // ID returns the transaction hash (over the signed payload, excluding the
-// signature itself). The result is cached.
+// signature itself). The result is cached; a transaction signed through
+// the wallet already carries it.
+//
+//perf:noalloc
 func (tx *Transaction) ID() Hash {
 	if tx.hash.IsZero() {
-		tx.hash = HashBytes(tx.SigningBytes())
+		// Calldata of every DApp call fits the stack array; a larger
+		// payload (video upload, contract deployment) makes append grow.
+		var buf [signingFixedSize + 64]byte
+		tx.Seal(buf[:])
 	}
 	return tx.hash
 }
@@ -186,7 +210,7 @@ func (b *Block) TxRoot() Hash {
 		h.Write(id[:])
 	}
 	var out Hash
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 

@@ -178,3 +178,25 @@ func TestHashBytesConcatProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Allocation budget: a sealed (signed) transaction's ID is a cache hit, and
+// an unsigned one's encodes into a stack array and hashes without a
+// temporary — neither touches the heap.
+func TestTxIDAllocatesNothing(t *testing.T) {
+	sealed := sampleTx(1)
+	sealed.Data = make([]byte, 16)
+	buf := sealed.Seal(nil)
+	if !bytes.Equal(buf, sealed.SigningBytes()) || sealed.ID() != HashBytes(buf) {
+		t.Fatal("Seal did not cache the hash of the signing bytes")
+	}
+	if n := testing.AllocsPerRun(100, func() { sealed.ID() }); n != 0 {
+		t.Fatalf("ID() on a sealed transaction allocates %v times", n)
+	}
+	data := make([]byte, 16)
+	if n := testing.AllocsPerRun(100, func() {
+		tx := Transaction{Kind: KindInvoke, Nonce: 7, Data: data}
+		tx.ID()
+	}); n != 0 {
+		t.Fatalf("ID() on an unsigned transaction allocates %v times", n)
+	}
+}

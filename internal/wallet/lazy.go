@@ -18,6 +18,7 @@ type Lazy struct {
 	namespace string
 	slots     []lazySlot
 	seedBuf   []byte
+	signBuf   []byte // shared by every derived account (see Account.buf)
 
 	// Derived and Hits count account derivations and cache hits, for the
 	// perf harness's allocs-per-transaction accounting.
@@ -58,7 +59,7 @@ func (l *Lazy) Account(idx uint64) *Account {
 	}
 	l.seedBuf = append(l.seedBuf[:0], l.namespace...)
 	l.seedBuf = binary.BigEndian.AppendUint64(l.seedBuf, idx)
-	acct := NewAccount(l.scheme, l.seedBuf)
+	acct := newAccount(l.scheme, l.seedBuf, &l.signBuf)
 	slot.used, slot.idx, slot.acct = true, idx, acct
 	l.Derived++
 	return acct

@@ -79,14 +79,14 @@ func (FastScheme) Keys(seed []byte) (pub, priv []byte) {
 
 // Sign implements Scheme.
 func (FastScheme) Sign(priv, msg []byte) []byte {
+	// Padded to the Ed25519 signature size so network byte accounting
+	// matches: the tag, then the key so Verify can check it.
+	sig := make([]byte, 64)
 	h := sha256.New()
 	h.Write(priv)
 	h.Write(msg)
-	tag := h.Sum(nil)
-	// Pad to the Ed25519 signature size so network byte accounting matches.
-	sig := make([]byte, 64)
-	copy(sig, tag)
-	copy(sig[32:], priv) // second half binds the key so Verify can check it
+	h.Sum(sig[:0])
+	copy(sig[32:], priv)
 	return sig
 }
 
@@ -103,36 +103,50 @@ func (FastScheme) Verify(pub, msg, sig []byte) bool {
 	h := sha256.New()
 	h.Write(priv)
 	h.Write(msg)
-	tag := h.Sum(nil)
-	return string(tag) == string(sig[:32])
+	var tag [sha256.Size]byte
+	h.Sum(tag[:0])
+	return string(tag[:]) == string(sig[:32])
 }
 
-// Account is a client keypair with a local nonce counter.
+// Account is a client keypair with a local nonce counter. Accounts of one
+// Wallet or Lazy sign through a shared buffer, so like the rest of the
+// simulation they are not safe for concurrent use.
 type Account struct {
 	Address types.Address
 	Pub     []byte
 	priv    []byte
 	Nonce   uint64
 	scheme  Scheme
+	// buf is the signing-bytes scratch. It belongs to whatever derived the
+	// account, not to the account: a stream's senders are each new, and a
+	// per-account buffer would be grown once per transaction and then idle.
+	buf *[]byte
 }
 
 // NewAccount derives an account deterministically from a seed.
 func NewAccount(scheme Scheme, seed []byte) *Account {
+	return newAccount(scheme, seed, new([]byte))
+}
+
+func newAccount(scheme Scheme, seed []byte, buf *[]byte) *Account {
 	pub, priv := scheme.Keys(seed)
 	return &Account{
 		Address: types.AddressFromHash(types.HashBytes(pub)),
 		Pub:     pub,
 		priv:    priv,
 		scheme:  scheme,
+		buf:     buf,
 	}
 }
 
-// Sign signs a transaction in place, setting From, Sig and PubKey. It does
-// not touch the nonce; use NextNonce or SignNext for sequenced sending.
+// Sign signs a transaction in place, setting From, Sig and PubKey, and
+// caches its ID from the same encoding the signature covers. It does not
+// touch the nonce; use NextNonce or SignNext for sequenced sending.
 func (a *Account) Sign(tx *types.Transaction) {
 	tx.From = a.Address
 	tx.PubKey = a.Pub
-	tx.Sig = a.scheme.Sign(a.priv, tx.SigningBytes())
+	*a.buf = tx.Seal(*a.buf)
+	tx.Sig = a.scheme.Sign(a.priv, *a.buf)
 }
 
 // NextNonce returns the account's next sequence number and increments it.
@@ -176,11 +190,12 @@ type Wallet struct {
 // New creates n deterministic accounts labelled by an experiment namespace.
 func New(scheme Scheme, namespace string, n int) *Wallet {
 	w := &Wallet{Scheme: scheme, Namespace: namespace, byAddr: make(map[types.Address]*Account, n)}
+	buf := new([]byte)
 	for i := 0; i < n; i++ {
 		seed := make([]byte, 0, len(namespace)+8)
 		seed = append(seed, namespace...)
 		seed = binary.BigEndian.AppendUint64(seed, uint64(i))
-		acct := NewAccount(scheme, seed)
+		acct := newAccount(scheme, seed, buf)
 		w.Accounts = append(w.Accounts, acct)
 		w.byAddr[acct.Address] = acct
 	}

@@ -185,3 +185,29 @@ func BenchmarkSignFast(b *testing.B) {
 		acct.Sign(tx)
 	}
 }
+
+// Allocation budget: signing encodes into the wallet's shared buffer, takes
+// the ID from the same bytes and writes the tag straight into the signature,
+// so the 64-byte signature is the only allocation — and ID() afterwards is
+// a cache hit equal to the hash of the signed payload.
+func TestSignNextAllocatesOnlyTheSignature(t *testing.T) {
+	w := New(FastScheme{}, "alloc", 4)
+	data := make([]byte, 16)
+	var tx types.Transaction
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		tx = types.Transaction{Kind: types.KindInvoke, GasLimit: 5_000_000, GasPrice: 1, Data: data}
+		w.Get(i % 4).SignNext(&tx)
+		tx.ID()
+		i++
+	})
+	if n > 1 {
+		t.Fatalf("SignNext + ID allocates %v times, want at most 1", n)
+	}
+	if tx.ID() != types.HashBytes(tx.SigningBytes()) {
+		t.Fatal("cached ID is not the hash of the signing bytes")
+	}
+	if err := VerifyTx(FastScheme{}, &tx); err != nil {
+		t.Fatal(err)
+	}
+}
