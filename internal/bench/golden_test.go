@@ -32,7 +32,10 @@ type goldenCell struct {
 // pool (quorum × FIFA), TTL eviction and confirmation depth (solana),
 // strict nonces with capacity and per-sender caps (diem), base-fee pricing
 // with underpriced skips (ethereum), retries + faults + invariants (quorum
-// under the chaos spec) and implicit stream senders (flash-mint).
+// under the chaos spec) and implicit stream senders (flash-mint). The three
+// uber cells interpret every call (CacheAfter -1) on the geth profile and
+// into the MoveVM and AVM budget aborts, pinning gas-driven block composition
+// and abort counts across changes of the interpreters.
 var goldenCells = []goldenCell{
 	{"quorum-fifa-10s", func(t *testing.T) bench.Experiment {
 		tr, err := workloads.ByName("fifa98")
@@ -111,6 +114,25 @@ faults:
 			Tail: 30 * time.Second, Seed: 5,
 		}
 	}},
+	{"quorum-uber-interp", uberCell("quorum", 6)},
+	{"diem-uber-abort", uberCell("diem", 7)},
+	{"algorand-uber-abort", uberCell("algorand", 8)},
+}
+
+// uberCell is the first second of the Uber trace with the gas cache off, the
+// uber-exec benchmark workload in miniature.
+func uberCell(chain string, seed int64) func(*testing.T) bench.Experiment {
+	return func(t *testing.T) bench.Experiment {
+		tr, err := workloads.ByName("uber-nyc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bench.Experiment{
+			Chain: chain, Config: configs.Consortium, ScaleNodes: 10, CacheAfter: -1,
+			Traces: []*workloads.Trace{tr.Truncated(time.Second)},
+			Tail:   10 * time.Second, Seed: seed,
+		}
+	}
 }
 
 // goldenDigest hashes what a cell's simulation produced: seed, summary,
@@ -151,7 +173,7 @@ func readGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestGoldenSimDigests pins the simulated outcome of six small cells to
+// TestGoldenSimDigests pins the simulated outcome of nine small cells to
 // digests recorded in testdata/golden.txt, so a refactor of the transaction
 // path is checked against recorded behaviour instead of re-derived
 // expectations. An intended behaviour change regenerates the table with
@@ -167,14 +189,15 @@ func TestGoldenSimDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if out.Summary.Submitted == 0 || out.Summary.Committed == 0 {
-			t.Fatalf("%s: empty run (%d submitted, %d committed)", c.name, out.Summary.Submitted, out.Summary.Committed)
+		if out.Summary.Submitted == 0 || out.Summary.Committed+out.AbortedExec == 0 {
+			t.Fatalf("%s: empty run (%d submitted, %d committed, %d aborted)", c.name, out.Summary.Submitted,
+				out.Summary.Committed, out.AbortedExec)
 		}
 		got := goldenDigest(out)
 		fmt.Fprintf(&table, "%s %s\n", c.name, got)
-		t.Logf("%s: submitted %d committed %d dropped %d pool-dropped %d timed-out %d retries %d blocks %d wall %v",
-			c.name, out.Summary.Submitted, out.Summary.Committed, out.Dropped, out.PoolDropped, out.TimedOut,
-			out.Retries, out.Blocks, out.WallTime.Round(time.Millisecond))
+		t.Logf("%s: submitted %d committed %d aborted %d dropped %d pool-dropped %d timed-out %d retries %d blocks %d wall %v",
+			c.name, out.Summary.Submitted, out.Summary.Committed, out.AbortedExec, out.Dropped, out.PoolDropped,
+			out.TimedOut, out.Retries, out.Blocks, out.WallTime.Round(time.Millisecond))
 		if want != nil && got != want[c.name] {
 			t.Errorf("%s: sim digest %s, golden %s", c.name, got, want[c.name])
 		}
