@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint lint-fast lint-audit race bench bench-exhibits exhibits exhibits-quick examples trace-smoke snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke clean
+.PHONY: build test test-short vet lint lint-fast lint-audit race fuzz-smoke bench bench-exhibits exhibits exhibits-quick examples trace-smoke snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke clean
 
 build:
 	$(GO) build ./...
@@ -29,21 +29,34 @@ lint-fast:
 lint-audit:
 	$(GO) run ./cmd/diablo-lint -audit ./...
 
-test: vet lint adversary-smoke pexec-smoke spans-smoke knee-smoke
+test: vet lint adversary-smoke pexec-smoke spans-smoke knee-smoke fuzz-smoke
 	$(GO) test ./...
+
+# Ten seconds of each fuzz target: the two differential oracles of the
+# pre-decoded interpreters (decoded program == byte-stream loop, DESIGN.md §5)
+# and the checkpoint decoder. go test fuzzes one target of one package per run.
+# Minimising is capped at 20 runs an input: left at its 60 s default, shrinking
+# the first kilobyte-sized contract that finds new coverage eats the whole ten
+# seconds.
+FUZZ = -run '^$$' -fuzztime=10s -fuzzminimizetime=20x
+fuzz-smoke:
+	$(GO) test ./internal/vm $(FUZZ) -fuzz '^FuzzProgramMatchesBytecode$$'
+	$(GO) test ./internal/avm $(FUZZ) -fuzz '^FuzzMachineMatchesBytecode$$'
+	$(GO) test ./internal/snapshot $(FUZZ) -fuzz '^FuzzDecode$$'
 
 test-short:
 	$(GO) test -short ./...
 
 # Race-detector pass over the packages the chaos engine, the parallel
-# sweep runner and the parallel block executor touch.
+# sweep runner and the parallel block executor touch, and the two
+# interpreters, whose decoded programs the executor's lanes share.
 race:
 	$(GO) test -race ./internal/sim ./internal/chaos ./internal/simnet \
 		./internal/chains/... ./internal/bench ./internal/core \
 		./internal/obs ./internal/collect ./internal/snapshot \
 		./internal/report ./internal/perfharness \
 		./internal/adversary ./internal/invariant ./internal/pexec \
-		./internal/span ./internal/stream
+		./internal/span ./internal/stream ./internal/vm ./internal/avm
 
 # Tracked perf harness: scheduler events/sec, simnet msgs/sec, end-to-end
 # cell runtime, parallel-sweep speedup, intra-block execution speedup and

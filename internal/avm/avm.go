@@ -207,7 +207,6 @@ type Result struct {
 	OpsUsed uint64
 	Events  []Event
 	Err     error
-	// journal of prior values so failed runs can restore state.
 }
 
 const (
@@ -236,123 +235,177 @@ type journalEntry struct {
 	existed bool
 }
 
-// Execute runs a program. State mutations are journalled and rolled back
-// unless the program approves.
-func Execute(program []byte, ctx *Context) Result {
-	budget := ctx.Budget
-	if budget == 0 {
-		budget = DefaultBudget
-	}
-	var (
-		stack   []uint64
-		scratch [scratchSlots]uint64
-		calls   []int
-		events  []Event
-		journal []journalEntry
-		ops     uint64
-	)
-	rollback := func() {
-		for i := len(journal) - 1; i >= 0; i-- {
-			e := journal[i]
-			if e.existed {
-				_ = ctx.State.Put(e.key, e.prev)
-			} else {
-				ctx.State.Delete(e.key)
-			}
-		}
-	}
-	fail := func(o Outcome, err error) Result {
-		rollback()
-		return Result{Outcome: o, OpsUsed: ops, Err: err}
-	}
-	pop := func() (uint64, bool) {
-		if len(stack) == 0 {
-			return 0, false
-		}
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v, true
-	}
-	push := func(v uint64) bool {
-		if len(stack) >= stackLimit {
-			return false
-		}
-		stack = append(stack, v)
-		return true
-	}
-	branchTarget := func(pc int) (int, bool) {
-		if pc+2 > len(program) {
-			return 0, false
-		}
-		off := int(int16(binary.BigEndian.Uint16(program[pc:])))
-		dst := pc + 2 + off
-		if dst < 0 || dst > len(program) {
-			return 0, false
-		}
-		return dst, true
-	}
+// Machine executes AVM programs. One Machine may be reused across calls, and
+// then allocates nothing per call beyond the events a program logs; it is not
+// safe for concurrent use.
+type Machine struct {
+	words      [stackLimit]uint64
+	stack      []uint64 // the checked path's view of words: its len is the depth
+	scratch    [scratchSlots]uint64
+	scratchTop int // scratch[scratchTop:] is still zero
+	calls      []int
+	journal    []journalEntry
+	events     []Event // logged by the call in progress; its Result takes them
+	budget     uint64  // of the call in progress
 
-	pc := 0
+	// exceeded is the budget-exceeded error for a budget of exceededAt ops;
+	// every aborting call of one application reports the same one.
+	exceeded   error
+	exceededAt uint64
+}
+
+// NewMachine returns a fresh machine.
+func NewMachine() *Machine {
+	return &Machine{calls: make([]int, 0, callDepth)}
+}
+
+// Execute runs a program on a fresh machine.
+func Execute(program []byte, ctx *Context) Result {
+	return NewMachine().Execute(program, ctx)
+}
+
+// reset readies the machine for a new call.
+func (m *Machine) reset(ctx *Context) {
+	m.stack = m.words[:0]
+	m.calls = m.calls[:0]
+	m.journal = m.journal[:0]
+	m.events = nil
+	clear(m.scratch[:m.scratchTop])
+	m.scratchTop = 0
+	m.budget = ctx.Budget
+	if m.budget == 0 {
+		m.budget = DefaultBudget
+	}
+}
+
+// Execute runs a program. State mutations are journalled and rolled back
+// unless the program approves. It decodes the byte stream as it goes; a
+// caller that runs the same program many times decodes it once with Decode
+// and calls Run, which yields the same Result.
+func (m *Machine) Execute(program []byte, ctx *Context) Result {
+	m.reset(ctx)
+	return m.run(program, ctx, 0, 0)
+}
+
+// rollback restores the state the call found, newest write first.
+func (m *Machine) rollback(state KVStore) {
+	for i := len(m.journal) - 1; i >= 0; i-- {
+		e := m.journal[i]
+		if e.existed {
+			_ = state.Put(e.key, e.prev) // restoring a value the store held before
+		} else {
+			state.Delete(e.key)
+		}
+	}
+	m.journal = m.journal[:0]
+}
+
+// fail ends a call that does not approve.
+func (m *Machine) fail(ctx *Context, o Outcome, ops uint64, err error) Result {
+	m.rollback(ctx.State)
+	return Result{Outcome: o, OpsUsed: ops, Err: err}
+}
+
+// budgetExceeded is the error of a call that ran out of budget.
+func (m *Machine) budgetExceeded(budget uint64) error {
+	if m.exceeded == nil || m.exceededAt != budget {
+		m.exceeded, m.exceededAt = fmt.Errorf("avm: budget of %d ops exceeded", budget), budget
+	}
+	return m.exceeded
+}
+
+// put is app_global_put: the write is journalled once the store accepts it.
+func (m *Machine) put(state KVStore, key, value uint64) error {
+	prev, existed := state.Get(key)
+	if err := state.Put(key, value); err != nil {
+		return err
+	}
+	m.journal = append(m.journal, journalEntry{key: key, prev: prev, existed: existed})
+	return nil
+}
+
+// log records the event a log instruction emits; args is copied.
+func (m *Machine) log(id uint64, args []uint64) {
+	m.events = append(m.events, Event{ID: id, Args: append(make([]uint64, 0, len(args)), args...)})
+}
+
+// branchTarget reads the 2-byte relative displacement at pc and returns the
+// absolute target, which may be len(program): a branch to the end.
+func branchTarget(program []byte, pc int) (int, bool) {
+	if pc+2 > len(program) {
+		return 0, false
+	}
+	dst := pc + 2 + int(int16(binary.BigEndian.Uint16(program[pc:])))
+	return dst, dst >= 0 && dst <= len(program)
+}
+
+// run is the checked byte-stream loop: every opcode meters itself against the
+// budget and checks its own stack bounds. It starts from any (pc, ops used,
+// stack, call stack), which is how Run hands a call over to it part-way (see
+// program.go).
+func (m *Machine) run(program []byte, ctx *Context, pc int, ops uint64) Result {
+	stack, budget := m.stack, m.budget
 	for pc < len(program) {
 		op := Op(program[pc])
 		pc++
 		cost := opCost(op)
 		if ops+cost > budget {
-			return fail(BudgetExceeded, fmt.Errorf("avm: budget of %d ops exceeded", budget))
+			return m.fail(ctx, BudgetExceeded, ops, m.budgetExceeded(budget))
 		}
 		ops += cost
 
 		switch op {
 		case OpErr:
-			return fail(Errored, ErrErrOp)
+			return m.fail(ctx, Errored, ops, ErrErrOp)
 
 		case OpPushInt:
 			if pc+8 > len(program) {
-				return fail(Errored, ErrTruncated)
+				return m.fail(ctx, Errored, ops, ErrTruncated)
 			}
-			if !push(binary.BigEndian.Uint64(program[pc:])) {
-				return fail(Errored, ErrStackOverflow)
+			if len(stack) >= stackLimit {
+				return m.fail(ctx, Errored, ops, ErrStackOverflow)
 			}
+			stack = append(stack, binary.BigEndian.Uint64(program[pc:]))
 			pc += 8
 
 		case OpPop:
-			if _, ok := pop(); !ok {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
+			stack = stack[:len(stack)-1]
 
 		case OpDup:
-			if len(stack) == 0 {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
-			if !push(stack[len(stack)-1]) {
-				return fail(Errored, ErrStackOverflow)
+			if len(stack) >= stackLimit {
+				return m.fail(ctx, Errored, ops, ErrStackOverflow)
 			}
+			stack = append(stack, stack[len(stack)-1])
 
 		case OpSwap:
 			if len(stack) < 2 {
-				return fail(Errored, ErrStackUnderflow)
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
 			stack[len(stack)-1], stack[len(stack)-2] = stack[len(stack)-2], stack[len(stack)-1]
 
 		case OpSelect:
-			a, ok1 := pop()
-			b, ok2 := pop()
-			c, ok3 := pop()
-			if !ok1 || !ok2 || !ok3 {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 3 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
+			a, b, c := stack[len(stack)-1], stack[len(stack)-2], stack[len(stack)-3]
+			stack = stack[:len(stack)-2]
 			if a != 0 {
-				push(b)
-			} else {
-				push(c)
+				c = b
 			}
+			stack[len(stack)-1] = c
 
 		case OpPlus, OpMinus, OpMul, OpDiv, OpMod, OpLt, OpGt, OpLe, OpGe, OpEq, OpNeq, OpAnd, OpOr:
-			b, ok1 := pop()
-			a, ok2 := pop()
-			if !ok1 || !ok2 {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 2 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
+			a, b := stack[len(stack)-2], stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
 			var r uint64
 			switch op {
 			case OpPlus:
@@ -363,12 +416,12 @@ func Execute(program []byte, ctx *Context) Result {
 				r = a * b
 			case OpDiv:
 				if b == 0 {
-					return fail(Errored, ErrDivByZero)
+					return m.fail(ctx, Errored, ops, ErrDivByZero)
 				}
 				r = a / b
 			case OpMod:
 				if b == 0 {
-					return fail(Errored, ErrDivByZero)
+					return m.fail(ctx, Errored, ops, ErrDivByZero)
 				}
 				r = a % b
 			case OpLt:
@@ -388,156 +441,145 @@ func Execute(program []byte, ctx *Context) Result {
 			case OpOr:
 				r = b2u(a != 0 || b != 0)
 			}
-			push(r)
+			stack[len(stack)-1] = r
 
 		case OpNot:
-			a, ok := pop()
-			if !ok {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
-			push(b2u(a == 0))
+			stack[len(stack)-1] = b2u(stack[len(stack)-1] == 0)
 
 		case OpBranch:
-			dst, ok := branchTarget(pc)
+			dst, ok := branchTarget(program, pc)
 			if !ok {
-				return fail(Errored, ErrBadBranch)
+				return m.fail(ctx, Errored, ops, ErrBadBranch)
 			}
 			pc = dst
 
 		case OpBZ, OpBNZ:
-			cond, ok := pop()
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
+			}
+			cond := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			dst, ok := branchTarget(program, pc)
 			if !ok {
-				return fail(Errored, ErrStackUnderflow)
+				return m.fail(ctx, Errored, ops, ErrBadBranch)
 			}
-			dst, ok2 := branchTarget(pc)
-			if !ok2 {
-				return fail(Errored, ErrBadBranch)
-			}
-			take := (op == OpBZ && cond == 0) || (op == OpBNZ && cond != 0)
-			if take {
+			if (op == OpBZ) == (cond == 0) {
 				pc = dst
 			} else {
 				pc += 2
 			}
 
 		case OpCallSub:
-			if len(calls) >= callDepth {
-				return fail(Errored, ErrCallDepth)
+			if len(m.calls) >= callDepth {
+				return m.fail(ctx, Errored, ops, ErrCallDepth)
 			}
-			dst, ok := branchTarget(pc)
+			dst, ok := branchTarget(program, pc)
 			if !ok {
-				return fail(Errored, ErrBadBranch)
+				return m.fail(ctx, Errored, ops, ErrBadBranch)
 			}
-			calls = append(calls, pc+2)
+			m.calls = append(m.calls, pc+2)
 			pc = dst
 
 		case OpRetSub:
-			if len(calls) == 0 {
-				return fail(Errored, ErrRetNoCall)
+			if len(m.calls) == 0 {
+				return m.fail(ctx, Errored, ops, ErrRetNoCall)
 			}
-			pc = calls[len(calls)-1]
-			calls = calls[:len(calls)-1]
+			pc = m.calls[len(m.calls)-1]
+			m.calls = m.calls[:len(m.calls)-1]
 
 		case OpLoad, OpStore:
 			if pc >= len(program) {
-				return fail(Errored, ErrTruncated)
+				return m.fail(ctx, Errored, ops, ErrTruncated)
 			}
 			slot := program[pc]
 			pc++
 			if op == OpLoad {
-				if !push(scratch[slot]) {
-					return fail(Errored, ErrStackOverflow)
+				if len(stack) >= stackLimit {
+					return m.fail(ctx, Errored, ops, ErrStackOverflow)
 				}
+				stack = append(stack, m.scratch[slot])
 			} else {
-				v, ok := pop()
-				if !ok {
-					return fail(Errored, ErrStackUnderflow)
+				if len(stack) < 1 {
+					return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 				}
-				scratch[slot] = v
+				m.scratch[slot] = stack[len(stack)-1]
+				m.scratchTop = max(m.scratchTop, int(slot)+1)
+				stack = stack[:len(stack)-1]
 			}
 
 		case OpAppGlobalGet:
-			key, ok := pop()
-			if !ok {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
-			v, _ := ctx.State.Get(key)
-			push(v)
+			stack[len(stack)-1], _ = ctx.State.Get(stack[len(stack)-1])
 
 		case OpAppGlobalPut:
-			value, ok1 := pop()
-			key, ok2 := pop()
-			if !ok1 || !ok2 {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 2 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
-			prev, existed := ctx.State.Get(key)
-			if err := ctx.State.Put(key, value); err != nil {
-				return fail(Errored, err)
-			}
-			journal = append(journal, journalEntry{key: key, prev: prev, existed: existed})
-
-		case OpTxnSender:
-			if !push(ctx.Sender) {
-				return fail(Errored, ErrStackOverflow)
+			key, value := stack[len(stack)-2], stack[len(stack)-1]
+			stack = stack[:len(stack)-2]
+			if err := m.put(ctx.State, key, value); err != nil {
+				return m.fail(ctx, Errored, ops, err)
 			}
 
-		case OpTxnNumArgs:
-			if !push(uint64(len(ctx.Args))) {
-				return fail(Errored, ErrStackOverflow)
-			}
-
-		case OpTxnArg:
-			i, ok := pop()
-			if !ok {
-				return fail(Errored, ErrStackUnderflow)
+		case OpTxnSender, OpTxnNumArgs, OpGlobalRound, OpGlobalTime:
+			if len(stack) >= stackLimit {
+				return m.fail(ctx, Errored, ops, ErrStackOverflow)
 			}
 			var v uint64
-			if i < uint64(len(ctx.Args)) {
+			switch op {
+			case OpTxnSender:
+				v = ctx.Sender
+			case OpTxnNumArgs:
+				v = uint64(len(ctx.Args))
+			case OpGlobalRound:
+				v = ctx.Round
+			case OpGlobalTime:
+				v = ctx.Time
+			}
+			stack = append(stack, v)
+
+		case OpTxnArg:
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
+			}
+			var v uint64
+			if i := stack[len(stack)-1]; i < uint64(len(ctx.Args)) {
 				v = ctx.Args[i]
 			}
-			push(v)
-
-		case OpGlobalRound:
-			if !push(ctx.Round) {
-				return fail(Errored, ErrStackOverflow)
-			}
-
-		case OpGlobalTime:
-			if !push(ctx.Time) {
-				return fail(Errored, ErrStackOverflow)
-			}
+			stack[len(stack)-1] = v
 
 		case OpLog:
 			if pc >= len(program) {
-				return fail(Errored, ErrTruncated)
+				return m.fail(ctx, Errored, ops, ErrTruncated)
 			}
 			nargs := int(program[pc])
 			pc++
 			if len(stack) < nargs+1 {
-				return fail(Errored, ErrStackUnderflow)
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
-			id := stack[len(stack)-1]
-			args := make([]uint64, nargs)
-			copy(args, stack[len(stack)-1-nargs:len(stack)-1])
-			stack = stack[:len(stack)-1-nargs]
-			events = append(events, Event{ID: id, Args: args})
+			top := len(stack) - 1
+			m.log(stack[top], stack[top-nargs:top])
+			stack = stack[:top-nargs]
 
 		case OpReturn:
-			v, ok := pop()
-			if !ok {
-				return fail(Errored, ErrStackUnderflow)
+			if len(stack) < 1 {
+				return m.fail(ctx, Errored, ops, ErrStackUnderflow)
 			}
-			if v == 0 {
-				rollback()
-				return Result{Outcome: Rejected, OpsUsed: ops}
+			if stack[len(stack)-1] == 0 {
+				return m.fail(ctx, Rejected, ops, nil)
 			}
-			return Result{Outcome: Approved, OpsUsed: ops, Events: events}
+			return Result{Outcome: Approved, OpsUsed: ops, Events: m.events}
 
 		default:
-			return fail(Errored, fmt.Errorf("%w: %d at pc %d", ErrBadOpcode, byte(op), pc-1))
+			return m.fail(ctx, Errored, ops, fmt.Errorf("%w: %d at pc %d", ErrBadOpcode, byte(op), pc-1))
 		}
 	}
-	return fail(Errored, ErrNoReturn)
+	return m.fail(ctx, Errored, ops, ErrNoReturn)
 }
 
 func b2u(b bool) uint64 {

@@ -29,6 +29,9 @@ func nodeAddress(i int) types.Address {
 type Contract struct {
 	Address types.Address
 	Code    []byte
+	// Program is Code decoded once at deployment; it is immutable, so the
+	// lanes of a parallel block share it.
+	Program *vm.Program
 	ABI     *minisol.Compiled
 	Storage *vmprofiles.CountingStorage
 
@@ -42,7 +45,7 @@ type Contract struct {
 // time (see Network.ExecTime), not recomputed.
 type Executor struct {
 	profile   *vmprofiles.Profile
-	interp    *vm.Interpreter
+	engine    *engine
 	balances  map[types.Address]uint64
 	nonces    map[types.Address]uint64
 	contracts map[types.Address]*Contract
@@ -71,9 +74,9 @@ type Executor struct {
 	// pool of this many workers and commit in canonical order, with
 	// results byte-identical to serial execution. <= 1 executes serially.
 	Workers int //lint:allow snapshotdrift run configuration set at setup, fixed during a run
-	// interps are the per-worker interpreters of the parallel pass (the
-	// shared e.interp is not safe for concurrent use). Grown lazily.
-	interps []*vm.Interpreter //lint:allow snapshotdrift interpreter free pool; allocation cache, not replay state
+	// engines are the per-worker interpreters of the parallel pass (the
+	// shared e.engine is not safe for concurrent use). Grown lazily.
+	engines []*engine //lint:allow snapshotdrift interpreter free pool; allocation cache, not replay state
 
 	// Parallel-execution diagnostics. They depend on the worker count, so
 	// they are deliberately excluded from SnapshotState and the default
@@ -88,6 +91,33 @@ type Executor struct {
 	// spans, when attached (Network.SetSpans), receives per-key conflict
 	// attributions from the parallel commit scan; nil-disabled.
 	spans *span.Recorder //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+}
+
+// engine is what interprets contract calls one at a time: an interpreter for
+// each VM family and the buffer calldata is unpacked into. Everything in it
+// is reused from call to call; none of it is state.
+type engine struct {
+	interp   *vm.Interpreter
+	machine  *avm.Machine
+	calldata []uint64
+}
+
+func newEngine() *engine {
+	return &engine{interp: vm.New(), machine: avm.NewMachine()}
+}
+
+// decodeCalldata unpacks the word-packed calldata from tx.Data into the
+// engine's buffer, which the next call overwrites. The first 8 bytes are the
+// selector; subsequent 8-byte groups are arguments. A trailing partial word
+// (opaque payload such as the YouTube video bytes) is ignored by the VM but
+// still costs intrinsic gas.
+func (g *engine) decodeCalldata(data []byte) []uint64 {
+	words := g.calldata[:0]
+	for i := 0; i+8 <= len(data); i += 8 {
+		words = append(words, binary.BigEndian.Uint64(data[i:]))
+	}
+	g.calldata = words
+	return words
 }
 
 type cacheKey struct {
@@ -113,7 +143,7 @@ const avmOpGas = 30
 func NewExecutor(profile *vmprofiles.Profile) *Executor {
 	return &Executor{
 		profile:   profile,
-		interp:    vm.New(),
+		engine:    newEngine(),
 		balances:  make(map[types.Address]uint64),
 		nonces:    make(map[types.Address]uint64),
 		contracts: make(map[types.Address]*Contract),
@@ -214,7 +244,7 @@ func (e *Executor) deployAVM(owner types.Address, compiled *minisol.AVMCompiled,
 		if err != nil {
 			return nil, fmt.Errorf("chain: deploy init: %w", err)
 		}
-		res := avm.Execute(compiled.Program, &avm.Context{
+		res := e.engine.machine.Run(compiled.Decoded, &avm.Context{
 			Sender: vm.CallerWord(owner),
 			Args:   args,
 			State:  c.AppState,
@@ -236,6 +266,7 @@ func (e *Executor) DeployContract(owner types.Address, compiled *minisol.Compile
 	c := &Contract{
 		Address: addr,
 		Code:    compiled.Code,
+		Program: vm.Decode(compiled.Code),
 		ABI:     compiled,
 		Storage: vmprofiles.NewCountingStorage(),
 	}
@@ -245,7 +276,7 @@ func (e *Executor) DeployContract(owner types.Address, compiled *minisol.Compile
 		if err != nil {
 			return nil, fmt.Errorf("chain: deploy init: %w", err)
 		}
-		res := e.interp.Execute(compiled.Code, &vm.Context{
+		res := e.engine.interp.Run(c.Program, &vm.Context{
 			Contract: addr,
 			Caller:   vm.CallerWord(owner),
 			Calldata: calldata,
@@ -289,18 +320,6 @@ func (e *Executor) cachedEntry(tx *types.Transaction) *cacheEntry {
 	return e.cache[cacheKey{contract: tx.To, selector: sel}]
 }
 
-// decodeCalldata unpacks the word-packed calldata from tx.Data. The first
-// 8 bytes are the selector; subsequent 8-byte groups are arguments. A
-// trailing partial word (opaque payload such as the YouTube video bytes)
-// is ignored by the VM but still costs intrinsic gas.
-func decodeCalldata(data []byte) []uint64 {
-	words := make([]uint64, 0, len(data)/8)
-	for i := 0; i+8 <= len(data); i += 8 {
-		words = append(words, binary.BigEndian.Uint64(data[i:]))
-	}
-	return words
-}
-
 // EncodeInvokeData packs calldata words into transaction data bytes, with
 // extraBytes of opaque payload appended (zero-filled).
 func EncodeInvokeData(calldata []uint64, extraBytes int) []byte {
@@ -342,7 +361,7 @@ func (c *Contract) InvokeData(fn string, args []uint64, extraBytes int) ([]byte,
 // why there is exactly one transition function.
 type execState interface {
 	vmProfile() *vmprofiles.Profile
-	vmInterp() *vm.Interpreter
+	vmEngine() *engine
 	getBalance(a types.Address) uint64
 	putBalance(a types.Address, v uint64)
 	getNonce(a types.Address) uint64
@@ -361,7 +380,7 @@ type execState interface {
 // The Executor itself is the canonical execState.
 
 func (e *Executor) vmProfile() *vmprofiles.Profile { return e.profile }
-func (e *Executor) vmInterp() *vm.Interpreter      { return e.interp }
+func (e *Executor) vmEngine() *engine              { return e.engine }
 func (e *Executor) getBalance(a types.Address) uint64 {
 	return e.Balance(a)
 }
@@ -459,11 +478,12 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 			return r
 		}
 
+		eng := st.vmEngine()
 		if c.AVM != nil {
 			// Execute on the real AVM with its hard opcode budget.
-			res := avm.Execute(c.AVM.Program, &avm.Context{
+			res := eng.machine.Run(c.AVM.Decoded, &avm.Context{
 				Sender: vm.CallerWord(tx.From),
-				Args:   decodeCalldata(tx.Data),
+				Args:   eng.decodeCalldata(tx.Data),
 				Round:  blk.Number,
 				Time:   uint64(blk.Timestamp / time.Second),
 				State:  st.contractAppState(c),
@@ -492,11 +512,11 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 			return r
 		}
 
-		res := st.vmProfile().Execute(st.vmInterp(), c.Code, &vm.Context{
+		res := st.vmProfile().Execute(eng.interp, c.Program, &vm.Context{
 			Contract:  c.Address,
 			Caller:    vm.CallerWord(tx.From),
 			Value:     tx.Value,
-			Calldata:  decodeCalldata(tx.Data),
+			Calldata:  eng.decodeCalldata(tx.Data),
 			BlockNum:  blk.Number,
 			BlockTime: uint64(blk.Timestamp / time.Second),
 			GasLimit:  limit - intrinsic,
@@ -524,9 +544,11 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 		nonce := st.getNonce(tx.From)
 		addr := types.ContractAddress(tx.From, nonce)
 		st.putNonce(tx.From, nonce+1)
+		code := append([]byte(nil), tx.Data...)
 		st.putContract(addr, &Contract{
 			Address: addr,
-			Code:    append([]byte(nil), tx.Data...),
+			Code:    code,
+			Program: vm.Decode(code),
 			Storage: vmprofiles.NewCountingStorage(),
 		})
 		r.Status = types.StatusOK

@@ -102,7 +102,7 @@ const (
 type txLane struct {
 	exec   *Executor
 	idx    int // canonical index within the block
-	interp *vm.Interpreter
+	engine *engine
 	set    *pexec.RWSet
 	mv     *blockMV // nil during speculation
 
@@ -130,11 +130,11 @@ type txLane struct {
 	receipt *types.Receipt
 }
 
-func newLane(e *Executor, idx int, interp *vm.Interpreter, mv *blockMV, newContracts map[types.Address]*Contract) *txLane {
+func newLane(e *Executor, idx int, eng *engine, mv *blockMV, newContracts map[types.Address]*Contract) *txLane {
 	return &txLane{
 		exec:         e,
 		idx:          idx,
-		interp:       interp,
+		engine:       eng,
 		mv:           mv,
 		newContracts: newContracts,
 		set:          pexec.NewRWSet(),
@@ -166,7 +166,7 @@ func (l *txLane) rerun(tx *types.Transaction, blk *types.Block, p Params) {
 // txLane implements execState.
 
 func (l *txLane) vmProfile() *vmprofiles.Profile { return l.exec.profile }
-func (l *txLane) vmInterp() *vm.Interpreter      { return l.interp }
+func (l *txLane) vmEngine() *engine              { return l.engine }
 func (l *txLane) cacheThreshold() int            { return l.exec.CacheAfter }
 func (l *txLane) noteExecuted()                  { l.executed++ }
 func (l *txLane) noteReplayed()                  { l.replayed++ }
@@ -579,8 +579,8 @@ func (e *Executor) ApplyBlock(txs []*types.Transaction, blk *types.Block, p Para
 	if workers > len(txs) {
 		workers = len(txs)
 	}
-	for len(e.interps) < workers {
-		e.interps = append(e.interps, vm.New())
+	for len(e.engines) < workers {
+		e.engines = append(e.engines, newEngine())
 	}
 	e.ParallelBlocks++
 
@@ -588,7 +588,7 @@ func (e *Executor) ApplyBlock(txs []*types.Transaction, blk *types.Block, p Para
 	// immutable pre-block state.
 	lanes := make([]*txLane, len(txs))
 	pexec.Fan(workers, len(txs), func(worker, i int) {
-		lanes[i] = newLane(e, i, e.interps[worker], nil, nil)
+		lanes[i] = newLane(e, i, e.engines[worker], nil, nil)
 		lanes[i].speculate(txs[i], blk, p)
 	})
 
@@ -627,7 +627,7 @@ func (e *Executor) ApplyBlock(txs []*types.Transaction, blk *types.Block, p Para
 			// committed prefix via the multi-version store. Its actual
 			// writes invalidate later speculations that read them.
 			e.Fallbacks++
-			l = newLane(e, i, e.interps[0], mv, newContracts)
+			l = newLane(e, i, e.engines[0], mv, newContracts)
 			l.rerun(txs[i], blk, p)
 			for _, k := range l.set.Writes() {
 				fallbackWritten[k] = struct{}{}

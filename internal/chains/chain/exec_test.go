@@ -161,7 +161,7 @@ func TestEncodeDecodeCalldata(t *testing.T) {
 	if len(data) != 4*8+5 {
 		t.Fatalf("len = %d", len(data))
 	}
-	got := decodeCalldata(data)
+	got := newEngine().decodeCalldata(data)
 	if len(got) != 4 {
 		t.Fatalf("decoded %d words", len(got))
 	}
@@ -190,3 +190,48 @@ func TestUnknownKindReceipt(t *testing.T) {
 }
 
 var _ = wallet.FastScheme{} // silence import when assertions change
+
+// TestInterpretedCallAllocationBudget pins what one fully interpreted Uber
+// call allocates through Executor.Apply, nonce and cache bookkeeping
+// included, on the geth profile (it completes and logs an event) and on the
+// AVM (it aborts on the opcode budget). Interpreting itself allocates
+// nothing: the interpreter, its memory, the calldata buffer and the
+// budget-exceeded error are all reused from call to call.
+func TestInterpretedCallAllocationBudget(t *testing.T) {
+	d, err := dapps.Get("uber")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		profile *vmprofiles.Profile
+		status  types.ExecStatus
+		// geth: the receipt, the event slice, its name and its argument
+		// words. AVM: the receipt alone.
+		allocs float64
+	}{
+		{vmprofiles.Geth, types.StatusOK, 4},
+		{vmprofiles.AVM, types.StatusBudgetExceeded, 1},
+	} {
+		e := NewExecutor(tc.profile) // CacheAfter 0: every call is interpreted
+		c, err := e.DeployDApp(types.Address{9}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := c.InvokeData("checkDistance", []uint64{1234, 5678}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := &types.Transaction{Kind: types.KindInvoke, From: types.Address{3}, To: c.Address, GasLimit: 5_000_000, Data: data}
+		tx.ID()
+		blk, params := &types.Block{Number: 1}, Params{}
+		if r := e.Apply(tx, blk, params); r.Status != tc.status {
+			t.Fatalf("%s: %v (%s)", tc.profile.Name, r.Status, r.Error)
+		}
+		if got := testing.AllocsPerRun(20, func() { e.Apply(tx, blk, params) }); got != tc.allocs {
+			t.Errorf("%s: %.0f allocations per interpreted call, want %.0f", tc.profile.Name, got, tc.allocs)
+		}
+		if e.Replayed != 0 {
+			t.Fatalf("%s: %d calls replayed from the gas cache", tc.profile.Name, e.Replayed)
+		}
+	}
+}

@@ -227,7 +227,7 @@ func TestUberBudgetExceededOnHardCapVMs(t *testing.T) {
 		initData, _ := c.Calldata("init")
 		vm.New().Execute(c.Code, &vm.Context{Storage: st, GasLimit: 100_000_000, Calldata: initData})
 		calldata, _ := c.Calldata("checkDistance", 5, 5)
-		res := p.Execute(vm.New(), c.Code, &vm.Context{Storage: st, GasLimit: 100_000_000, Calldata: calldata})
+		res := p.Execute(vm.New(), vm.Decode(c.Code), &vm.Context{Storage: st, GasLimit: 100_000_000, Calldata: calldata})
 		if res.Status != types.StatusBudgetExceeded {
 			t.Errorf("%s: status = %v, want budget exceeded", p.Name, res.Status)
 		}
@@ -237,7 +237,7 @@ func TestUberBudgetExceededOnHardCapVMs(t *testing.T) {
 	initData, _ := c.Calldata("init")
 	vm.New().Execute(c.Code, &vm.Context{Storage: st, GasLimit: 100_000_000, Calldata: initData})
 	calldata, _ := c.Calldata("checkDistance", 5, 5)
-	res := vmprofiles.Geth.Execute(vm.New(), c.Code, &vm.Context{Storage: st, GasLimit: 100_000_000, Calldata: calldata})
+	res := vmprofiles.Geth.Execute(vm.New(), vm.Decode(c.Code), &vm.Context{Storage: st, GasLimit: 100_000_000, Calldata: calldata})
 	if res.Status != types.StatusOK {
 		t.Errorf("geth: status = %v, want ok", res.Status)
 	}
@@ -278,7 +278,7 @@ func TestAVMStateLimitFillsUp(t *testing.T) {
 	sawFull := false
 	for i := 0; i < 100; i++ {
 		calldata, _ := c.Calldata("upload", uint64(i), 300)
-		res := vmprofiles.AVM.Execute(vm.New(), c.Code, &vm.Context{
+		res := vmprofiles.AVM.Execute(vm.New(), vm.Decode(c.Code), &vm.Context{
 			Storage: st, GasLimit: 100_000_000, Calldata: calldata, Caller: 1,
 		})
 		if res.Status == types.StatusBudgetExceeded {

@@ -26,8 +26,11 @@ import (
 
 // AVMCompiled is the AVM build artifact.
 type AVMCompiled struct {
-	Name      string
-	Program   []byte
+	Name    string
+	Program []byte
+	// Decoded is Program decoded once for avm.Machine.Run; it is immutable
+	// and shared by every application deployed from this artifact.
+	Decoded   *avm.Program
 	Functions map[string]*FuncMeta
 	Events    map[string]*EventDecl
 }
@@ -141,7 +144,9 @@ func GenerateAVM(c *Contract) (*AVMCompiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AVMCompiled{Name: c.Name, Program: program, Functions: g.meta, Events: g.events}, nil
+	return &AVMCompiled{
+		Name: c.Name, Program: program, Decoded: avm.Decode(program), Functions: g.meta, Events: g.events,
+	}, nil
 }
 
 // alloc reserves one scratch slot (the AVM has 256).

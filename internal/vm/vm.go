@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"diablo/internal/types"
 )
@@ -190,30 +191,40 @@ type journalEntry struct {
 // Interpreter executes bytecode. One Interpreter may be reused across calls;
 // it is not safe for concurrent use.
 type Interpreter struct {
-	stack   []uint64
-	memory  []uint64
+	words   [stackLimit]uint64
+	stack   []uint64 // the checked path's view of words: its len is the depth
+	memory  [memoryLimit]uint64
+	memTop  int // memory[memTop:] is still zero: all a call has to clear is below it
 	journal []journalEntry
+	events  []types.Event // logged by the call in progress; its Result takes them
 }
 
 // New returns a fresh interpreter.
-func New() *Interpreter {
-	return &Interpreter{
-		stack:  make([]uint64, 0, stackLimit),
-		memory: make([]uint64, memoryLimit),
-	}
+func New() *Interpreter { return new(Interpreter) }
+
+// reset readies the interpreter for a new call.
+func (in *Interpreter) reset() {
+	in.stack = in.words[:0]
+	in.journal = in.journal[:0]
+	in.events = nil
+	clear(in.memory[:in.memTop])
+	in.memTop = 0
 }
 
 // Execute runs code within ctx. Gas accounting: the transaction base cost
 // and calldata cost must be charged by the caller (see ChargeIntrinsic);
-// ctx.GasLimit is the execution budget.
+// ctx.GasLimit is the execution budget. It decodes the byte stream as it
+// goes; a caller that runs the same code many times decodes it once with
+// Decode and calls Run, which yields the same Result.
 func (in *Interpreter) Execute(code []byte, ctx *Context) Result {
-	in.stack = in.stack[:0]
-	in.journal = in.journal[:0]
-	for i := range in.memory {
-		in.memory[i] = 0
-	}
+	in.reset()
+	return in.run(code, ctx, 0, ctx.GasLimit)
+}
 
-	gas := ctx.GasLimit
+// run is the checked byte-stream loop: every opcode charges its own gas and
+// checks its own stack bounds. It starts from any (pc, gas, stack), which is
+// how Run hands a call over to it part-way (see program.go).
+func (in *Interpreter) run(code []byte, ctx *Context, pc int, gas uint64) Result {
 	charge := func(amount uint64) bool {
 		if gas < amount {
 			gas = 0
@@ -222,19 +233,14 @@ func (in *Interpreter) Execute(code []byte, ctx *Context) Result {
 		gas -= amount
 		return true
 	}
-	fail := func(status types.ExecStatus, err error) Result {
-		in.revert(ctx.Storage)
-		return Result{Status: status, GasUsed: ctx.GasLimit - gas, Err: err}
-	}
+	fail := func(status types.ExecStatus, err error) Result { return in.fail(ctx, gas, status, err) }
 
-	var events []types.Event
-	pc := 0
 	for pc < len(code) {
 		op := Op(code[pc])
 		pc++
 		switch op {
 		case STOP:
-			return Result{Status: types.StatusOK, GasUsed: ctx.GasLimit - gas, Events: events}
+			return Result{Status: types.StatusOK, GasUsed: ctx.GasLimit - gas, Events: in.events}
 
 		case PUSH:
 			if pc+8 > len(code) {
@@ -400,6 +406,7 @@ func (in *Interpreter) Execute(code []byte, ctx *Context) Result {
 					return fail(types.StatusInvalid, ErrMemoryBounds)
 				}
 				in.memory[idx] = val
+				in.memTop = max(in.memTop, int(idx)+1)
 			}
 
 		case SLOAD:
@@ -419,17 +426,10 @@ func (in *Interpreter) Execute(code []byte, ctx *Context) Result {
 			val := in.stack[len(in.stack)-1]
 			key := in.stack[len(in.stack)-2]
 			in.stack = in.stack[:len(in.stack)-2]
-			cost := uint64(gasSStoreUpdate)
-			existed := ctx.Storage.Exists(key)
-			if !existed {
-				cost = gasSStoreNew
-			}
-			if !charge(cost) {
-				return fail(types.StatusOutOfGas, ErrOutOfGas)
-			}
-			in.journal = append(in.journal, journalEntry{key: key, prev: ctx.Storage.Load(key), existed: existed})
-			if err := ctx.Storage.Store(key, val); err != nil {
-				return fail(types.StatusBudgetExceeded, err)
+			var status types.ExecStatus
+			var err error
+			if gas, status, err = in.sstore(ctx.Storage, key, val, gas); err != nil {
+				return fail(status, err)
 			}
 
 		case MAPKEY:
@@ -494,17 +494,9 @@ func (in *Interpreter) Execute(code []byte, ctx *Context) Result {
 			if len(in.stack) < nargs+1 {
 				return fail(types.StatusInvalid, ErrStackUnderflow)
 			}
-			id := in.stack[len(in.stack)-1]
-			args := make([]uint64, nargs)
-			for i := 0; i < nargs; i++ {
-				args[nargs-1-i] = in.stack[len(in.stack)-2-i]
-			}
-			in.stack = in.stack[:len(in.stack)-1-nargs]
-			events = append(events, types.Event{
-				Contract: ctx.Contract,
-				Name:     fmt.Sprintf("event-%d", id),
-				Data:     args,
-			})
+			top := len(in.stack) - 1
+			in.log(ctx.Contract, in.stack[top], in.stack[top-nargs:top])
+			in.stack = in.stack[:top-nargs]
 
 		case RETURN:
 			if !charge(gasBase) {
@@ -517,19 +509,55 @@ func (in *Interpreter) Execute(code []byte, ctx *Context) Result {
 				Status:  types.StatusOK,
 				GasUsed: ctx.GasLimit - gas,
 				Return:  in.stack[len(in.stack)-1],
-				Events:  events,
+				Events:  in.events,
 			}
 
 		case REVERT:
-			in.revert(ctx.Storage)
-			return Result{Status: types.StatusReverted, GasUsed: ctx.GasLimit - gas, Err: ErrReverted}
+			return fail(types.StatusReverted, ErrReverted)
 
 		default:
 			return fail(types.StatusInvalid, fmt.Errorf("%w: %d at pc %d", ErrBadOpcode, byte(op), pc-1))
 		}
 	}
 	// Fell off the end of the code: treated as STOP.
-	return Result{Status: types.StatusOK, GasUsed: ctx.GasLimit - gas, Events: events}
+	return Result{Status: types.StatusOK, GasUsed: ctx.GasLimit - gas, Events: in.events}
+}
+
+// fail ends a call that does not succeed with gas left of its limit: storage
+// writes are undone and events dropped.
+func (in *Interpreter) fail(ctx *Context, gas uint64, status types.ExecStatus, err error) Result {
+	in.revert(ctx.Storage)
+	return Result{Status: status, GasUsed: ctx.GasLimit - gas, Err: err}
+}
+
+// sstore prices and performs one SSTORE against the gas left, returning what
+// remains. Its price depends on whether the slot exists, which is why it is
+// the one opcode whose gas no block summary can hold. On out-of-gas the
+// remainder is zero, like every other out-of-gas.
+func (in *Interpreter) sstore(st Storage, key, val, gas uint64) (uint64, types.ExecStatus, error) {
+	cost := uint64(gasSStoreUpdate)
+	existed := st.Exists(key)
+	if !existed {
+		cost = gasSStoreNew
+	}
+	if gas < cost {
+		return 0, types.StatusOutOfGas, ErrOutOfGas
+	}
+	gas -= cost
+	in.journal = append(in.journal, journalEntry{key: key, prev: st.Load(key), existed: existed})
+	if err := st.Store(key, val); err != nil {
+		return gas, types.StatusBudgetExceeded, err
+	}
+	return gas, types.StatusOK, nil
+}
+
+// log records the event a LOG emits; args is copied, in stack order.
+func (in *Interpreter) log(contract types.Address, id uint64, args []uint64) {
+	in.events = append(in.events, types.Event{
+		Contract: contract,
+		Name:     "event-" + strconv.FormatUint(id, 10),
+		Data:     append(make([]uint64, 0, len(args)), args...),
+	})
 }
 
 // revert undoes journalled storage writes in reverse order.

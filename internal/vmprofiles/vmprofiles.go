@@ -117,23 +117,21 @@ func (c *CountingStorage) Delete(key uint64) { c.M.Delete(key) }
 // Len reports the number of populated slots.
 func (c *CountingStorage) Len() int { return len(c.M) }
 
-// Execute runs code under the profile's policy. ctx.GasLimit is the
-// transaction's own gas limit; the profile caps the effective execution
+// Execute runs a decoded program under the profile's policy. ctx.GasLimit is
+// the transaction's own gas limit; the profile caps the effective execution
 // budget at TxBudget when one is set, and converts the resulting
 // out-of-gas into the distinctive StatusBudgetExceeded outcome so clients
 // see the same error string the paper reports.
-func (p *Profile) Execute(interp *vm.Interpreter, code []byte, ctx *vm.Context) vm.Result {
+func (p *Profile) Execute(interp *vm.Interpreter, prog *vm.Program, ctx *vm.Context) vm.Result {
 	effective := *ctx
-	capped := false
 	if p.TxBudget > 0 && p.TxBudget < ctx.GasLimit {
 		effective.GasLimit = p.TxBudget
-		capped = true
 	}
 	if p.MaxStateEntries > 0 {
 		effective.Storage = boundedStorage{Storage: ctx.Storage, max: p.MaxStateEntries}
 	}
-	res := interp.Execute(code, &effective)
-	if res.Status == types.StatusOutOfGas && (capped || (p.TxBudget > 0 && ctx.GasLimit >= p.TxBudget)) {
+	res := interp.Run(prog, &effective)
+	if res.Status == types.StatusOutOfGas && p.TxBudget > 0 && ctx.GasLimit >= p.TxBudget {
 		res.Status = types.StatusBudgetExceeded
 		res.Err = ErrBudgetExceeded
 	}

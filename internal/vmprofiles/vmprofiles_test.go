@@ -44,7 +44,7 @@ func TestGethHasNoHardBudget(t *testing.T) {
 	if Geth.HardBudget() {
 		t.Fatal("geth must not enforce a per-tx budget")
 	}
-	res := Geth.Execute(vm.New(), loopProgram(t), &vm.Context{
+	res := Geth.Execute(vm.New(), vm.Decode(loopProgram(t)), &vm.Context{
 		Storage: vm.MapStorage{}, GasLimit: 5000,
 	})
 	// On geth, running out of the *sender's* gas is plain out-of-gas, not
@@ -59,7 +59,7 @@ func TestHardBudgetCapsExecution(t *testing.T) {
 		if !p.HardBudget() {
 			t.Fatalf("%s should enforce a budget", p.Name)
 		}
-		res := p.Execute(vm.New(), loopProgram(t), &vm.Context{
+		res := p.Execute(vm.New(), vm.Decode(loopProgram(t)), &vm.Context{
 			Storage: vm.MapStorage{}, GasLimit: 100_000_000, // sender pays a lot
 		})
 		if res.Status != types.StatusBudgetExceeded {
@@ -75,7 +75,7 @@ func TestHardBudgetCapsExecution(t *testing.T) {
 }
 
 func TestBudgetNotChargedWhenUnderCap(t *testing.T) {
-	res := MoveVM.Execute(vm.New(), cheapProgram(t), &vm.Context{
+	res := MoveVM.Execute(vm.New(), vm.Decode(cheapProgram(t)), &vm.Context{
 		Storage: vm.MapStorage{}, GasLimit: 100_000_000,
 	})
 	if res.Status != types.StatusOK {
@@ -86,14 +86,14 @@ func TestBudgetNotChargedWhenUnderCap(t *testing.T) {
 func TestSenderGasLimitStillApplies(t *testing.T) {
 	// A sender limit below the hard cap is the binding constraint, so the
 	// outcome is plain out-of-gas — the hard budget was never reached.
-	res := MoveVM.Execute(vm.New(), loopProgram(t), &vm.Context{
+	res := MoveVM.Execute(vm.New(), vm.Decode(loopProgram(t)), &vm.Context{
 		Storage: vm.MapStorage{}, GasLimit: 5000,
 	})
 	if res.Status != types.StatusOutOfGas {
 		t.Fatalf("status = %v, want out of gas", res.Status)
 	}
 	// A sender limit exactly at the cap that runs dry is the budget error.
-	res = MoveVM.Execute(vm.New(), loopProgram(t), &vm.Context{
+	res = MoveVM.Execute(vm.New(), vm.Decode(loopProgram(t)), &vm.Context{
 		Storage: vm.MapStorage{}, GasLimit: MoveVM.TxBudget,
 	})
 	if res.Status != types.StatusBudgetExceeded {
@@ -108,7 +108,7 @@ func TestAVMStateBound(t *testing.T) {
 	var hitLimit bool
 	for i := uint64(0); i < 100; i++ {
 		a := vm.NewAssembler().Push(i).Push(1).Op(vm.SSTORE).Op(vm.STOP)
-		res := AVM.Execute(in, a.MustBuild(), &vm.Context{Storage: st, GasLimit: 1_000_000})
+		res := AVM.Execute(in, vm.Decode(a.MustBuild()), &vm.Context{Storage: st, GasLimit: 1_000_000})
 		if res.Status == types.StatusBudgetExceeded {
 			hitLimit = true
 			if st.Len() != AVM.MaxStateEntries {
@@ -122,7 +122,7 @@ func TestAVMStateBound(t *testing.T) {
 	}
 	// Updates to existing slots still work at the limit.
 	a := vm.NewAssembler().Push(0).Push(9).Op(vm.SSTORE).Op(vm.STOP)
-	res := AVM.Execute(in, a.MustBuild(), &vm.Context{Storage: st, GasLimit: 1_000_000})
+	res := AVM.Execute(in, vm.Decode(a.MustBuild()), &vm.Context{Storage: st, GasLimit: 1_000_000})
 	if res.Status != types.StatusOK {
 		t.Fatalf("update at state limit failed: %v", res.Status)
 	}
