@@ -259,7 +259,10 @@ func NewMachine() *Machine {
 	return &Machine{calls: make([]int, 0, callDepth)}
 }
 
-// Execute runs a program on a fresh machine.
+// Execute runs a program once on a fresh machine (a 10 KB allocation): the
+// entry point of the package's own tests and of the minisol and ablation
+// tests, which run each program a handful of times. The executor holds a
+// Machine per lane instead.
 func Execute(program []byte, ctx *Context) Result {
 	return NewMachine().Execute(program, ctx)
 }

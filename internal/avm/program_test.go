@@ -76,18 +76,26 @@ var twoKeys = map[uint64]uint64{1: 11, 2: 22}
 // next one.
 var byteMachine, progMachine = avm.NewMachine(), avm.NewMachine()
 
-// sameOutcome runs program through the byte-stream loop and, decoded, through
-// Run, and fails the test where the two differ in any observable way.
+// sameOutcome runs program through the pre-Machine Execute kept in
+// reference_test.go, through the byte-stream loop and, decoded, through Run,
+// and fails the test where any two differ in any observable way.
 func sameOutcome(t *testing.T, program []byte, ctx avm.Context, init map[uint64]uint64, maxKeys int) outcome {
 	t.Helper()
-	a, b := ctx, ctx
-	sa, sb := newTapeKV(init, maxKeys), newTapeKV(init, maxKeys)
-	a.State, b.State = sa, sb
-	want := outcomeOf(byteMachine.Execute(program, &a), sa)
-	got := outcomeOf(progMachine.Run(avm.Decode(program), &b), sb)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Run differs from Execute\nbudget %d, args %v\n%s\nRun:     %+v\nExecute: %+v",
-			ctx.Budget, ctx.Args, avm.Disassemble(program), got, want)
+	r, a, b := ctx, ctx, ctx
+	sr, sa, sb := newTapeKV(init, maxKeys), newTapeKV(init, maxKeys), newTapeKV(init, maxKeys)
+	r.State, a.State, b.State = sr, sa, sb
+	want := outcomeOf(avm.ReferenceExecute(program, &r), sr)
+	for _, got := range []struct {
+		path string
+		outcome
+	}{
+		{"Execute", outcomeOf(byteMachine.Execute(program, &a), sa)},
+		{"Run", outcomeOf(progMachine.Run(avm.Decode(program), &b), sb)},
+	} {
+		if !reflect.DeepEqual(got.outcome, want) {
+			t.Fatalf("%s differs from the reference Execute\nbudget %d, args %v\n%s\n%s: %+v\nreference: %+v",
+				got.path, ctx.Budget, ctx.Args, avm.Disassemble(program), got.path, got.outcome, want)
+		}
 	}
 	return want
 }
@@ -465,8 +473,8 @@ func FuzzMachineMatchesBytecode(f *testing.F) {
 }
 
 // BenchmarkUberAbort times one checkDistance call into the budget abort, the
-// unit of the uber-exec benchmark workload on Algorand, on the byte-stream
-// loop and on the decoded program.
+// unit of the uber-exec benchmark workload on Algorand, on the pre-Machine
+// Execute, on the byte-stream loop and on the decoded program.
 func BenchmarkUberAbort(b *testing.B) {
 	d, err := dapps.Get("uber")
 	if err != nil {
@@ -483,6 +491,12 @@ func BenchmarkUberAbort(b *testing.B) {
 	args, _ := c.AppArgs("checkDistance", 1234, 5678)
 	ctx := &avm.Context{Args: args, State: kv}
 	p := avm.Decode(c.Program)
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			avm.ReferenceExecute(c.Program, ctx)
+		}
+	})
 	b.Run("bytes", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -124,14 +124,16 @@ func (c *CountingStorage) Len() int { return len(c.M) }
 // see the same error string the paper reports.
 func (p *Profile) Execute(interp *vm.Interpreter, prog *vm.Program, ctx *vm.Context) vm.Result {
 	effective := *ctx
+	capped := false
 	if p.TxBudget > 0 && p.TxBudget < ctx.GasLimit {
 		effective.GasLimit = p.TxBudget
+		capped = true
 	}
 	if p.MaxStateEntries > 0 {
 		effective.Storage = boundedStorage{Storage: ctx.Storage, max: p.MaxStateEntries}
 	}
 	res := interp.Run(prog, &effective)
-	if res.Status == types.StatusOutOfGas && p.TxBudget > 0 && ctx.GasLimit >= p.TxBudget {
+	if res.Status == types.StatusOutOfGas && (capped || (p.TxBudget > 0 && ctx.GasLimit >= p.TxBudget)) {
 		res.Status = types.StatusBudgetExceeded
 		res.Err = ErrBudgetExceeded
 	}
