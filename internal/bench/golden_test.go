@@ -6,13 +6,16 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"diablo/internal/bench"
 	"diablo/internal/configs"
+	"diablo/internal/snapshot"
 	"diablo/internal/spec"
 	"diablo/internal/stream"
 	"diablo/internal/workloads"
@@ -35,7 +38,10 @@ type goldenCell struct {
 // under the chaos spec) and implicit stream senders (flash-mint). The three
 // uber cells interpret every call (CacheAfter -1) on the geth profile and
 // into the MoveVM and AVM budget aborts, pinning gas-driven block composition
-// and abort counts across changes of the interpreters.
+// and abort counts across changes of the interpreters. The last four pin
+// multicasts: the byzantine spec's replay window schedules stale sends
+// inside broadcasts, and three chains vote or heartbeat all-to-all on the
+// full 200-node consortium with every observer armed.
 var goldenCells = []goldenCell{
 	{"quorum-fifa-10s", func(t *testing.T) bench.Experiment {
 		tr, err := workloads.ByName("fifa98")
@@ -117,6 +123,56 @@ faults:
 	{"quorum-uber-interp", uberCell("quorum", 6)},
 	{"diem-uber-abort", uberCell("diem", 7)},
 	{"algorand-uber-abort", uberCell("algorand", 8)},
+	{"quorum-byzantine", func(t *testing.T) bench.Experiment {
+		src, err := os.ReadFile("../../specs/setup-quorum-byzantine.yaml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup, err := spec.ParseSetup(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bench.Experiment{
+			Chain: setup.Chain, Config: setup.Config, ScaleNodes: setup.NodeScale,
+			Traces: []*workloads.Trace{workloads.NativeConstant(40, 70*time.Second)},
+			Tail:   60 * time.Second, Seed: setup.Seed,
+			Byzantine: setup.Byzantine, Invariants: setup.Invariants, InclusionHorizon: setup.InclusionHorizon,
+		}
+	}},
+	{"quorum-n200", observedCell("quorum")},
+	{"redbelly-n200", observedCell("redbelly")},
+	{"quorum-raft-n200", observedCell("quorum-raft")},
+}
+
+// observedCell is a chain on the full 200-node consortium, where every IBFT
+// and dBFT vote and every Raft vote request and heartbeat goes to 199 peers,
+// with the metrics registry on, the span stream hashed as it is written and
+// a checkpoint every virtual second. observedDigest folds what these
+// observers wrote into the cell's digest.
+func observedCell(chain string) func(*testing.T) bench.Experiment {
+	return func(t *testing.T) bench.Experiment {
+		return bench.Experiment{
+			Chain: chain, Config: configs.Consortium,
+			Traces: []*workloads.Trace{workloads.NativeConstant(20, 5*time.Second)},
+			Tail:   10 * time.Second, Seed: 1,
+			Metrics: true, Spans: sha256.New(),
+			CheckpointEvery: time.Second, CheckpointDir: t.TempDir(),
+		}
+	}
+}
+
+// observedDigest extends an observedCell's sim digest with its metrics
+// snapshot, the SHA-256 of its span stream and the SHA-256 of the checkpoint
+// file taken at 3 s, while votes of several multicasts are in flight.
+func observedDigest(t *testing.T, sim string, out *bench.Outcome) string {
+	t.Helper()
+	cp, err := os.ReadFile(filepath.Join(out.Experiment.CheckpointDir, snapshot.FileName(3*time.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|%+v|%x|%x", sim, *out.Metrics, out.Experiment.Spans.(hash.Hash).Sum(nil), sha256.Sum256(cp))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // uberCell is the first second of the Uber trace with the gas cache off, the
@@ -173,9 +229,9 @@ func readGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestGoldenSimDigests pins the simulated outcome of nine small cells to
+// TestGoldenSimDigests pins the simulated outcome of thirteen small cells to
 // digests recorded in testdata/golden.txt, so a refactor of the transaction
-// path is checked against recorded behaviour instead of re-derived
+// path or the event loop is checked against recorded behaviour instead of re-derived
 // expectations. An intended behaviour change regenerates the table with
 // -update and shows up as a reviewed diff of that file.
 func TestGoldenSimDigests(t *testing.T) {
@@ -199,6 +255,9 @@ func TestGoldenSimDigests(t *testing.T) {
 				out.Summary.Committed, out.AbortedExec)
 		}
 		got := goldenDigest(out)
+		if out.Experiment.CheckpointDir != "" {
+			got = observedDigest(t, got, out)
+		}
 		fmt.Fprintf(&table, "%s %s\n", c.name, got)
 		t.Logf("%s: submitted %d committed %d aborted %d dropped %d pool-dropped %d timed-out %d retries %d blocks %d wall %v",
 			c.name, out.Summary.Submitted, out.Summary.Committed, out.AbortedExec, out.Dropped, out.PoolDropped,
