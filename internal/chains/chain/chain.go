@@ -366,6 +366,21 @@ func (nd *Node) Send(to int, size int, payload any) {
 	nd.Sim.Send(n.Nodes[to].Sim.ID, size, payload)
 }
 
+// Broadcast sends an engine message from this node to every other node, in
+// index order. It is Send per recipient, so the adversary hooks act on each
+// copy, inside one scheduler group, so the deliveries take one queue entry
+// (see sim.Scheduler.BeginGroup). This is the engines' one all-to-all send.
+func (nd *Node) Broadcast(size int, payload any) {
+	sched := nd.net.Sched
+	sched.BeginGroup()
+	for to := range nd.net.Nodes {
+		if to != nd.Index {
+			nd.Send(to, size, payload)
+		}
+	}
+	sched.EndGroup()
+}
+
 // SetSpans attaches a causal span recorder. Engines and clients reach it
 // through the nil-safe helpers below, so a network without spans pays
 // nothing. The mempool's admission hook is wired here so every admitted

@@ -62,20 +62,24 @@ func (n *Network) receiveGossip(at *Node, msg *gossipMsg) {
 	n.relayGossip(at, msg)
 }
 
-// relayGossip forwards the message to the node's children in the tree.
+// relayGossip forwards the message to the node's children in the tree. The
+// children's messages share one allocation.
 func (n *Network) relayGossip(at *Node, msg *gossipMsg) {
-	for c := 1; c <= msg.fanout; c++ {
-		childRank := msg.rank*msg.fanout + c
-		if childRank >= len(msg.tree) {
-			return
-		}
-		child := &gossipMsg{
+	first := msg.rank*msg.fanout + 1
+	count := min(msg.fanout, len(msg.tree)-first)
+	if count <= 0 {
+		return
+	}
+	children := make([]gossipMsg, count)
+	for c := range children {
+		child := &children[c]
+		*child = gossipMsg{
 			tree:    msg.tree,
-			rank:    childRank,
+			rank:    first + c,
 			fanout:  msg.fanout,
 			size:    msg.size,
 			deliver: msg.deliver,
 		}
-		at.Sim.Send(n.Nodes[msg.tree[childRank]].Sim.ID, msg.size, child)
+		at.Sim.Send(n.Nodes[msg.tree[child.rank]].Sim.ID, msg.size, child)
 	}
 }

@@ -44,8 +44,11 @@ type certVote struct {
 // roundState is one round's voting state; it lives until every node has
 // delivered so that laggards finish after the protocol advances.
 type roundState struct {
-	block      *types.Block
-	cost       chain.Cost
+	block *types.Block
+	cost  chain.Cost
+	// soft and cert are the round's soft-vote and cert-vote committees,
+	// drawn once when the round opens.
+	soft, cert []bool
 	blockSeen  []bool
 	softSent   []bool
 	certSent   []bool
@@ -90,21 +93,21 @@ func (e *Engine) Start() { e.net.Sched.AfterKind(sim.KindConsensus, 0, e.propose
 // Stop halts the engine.
 func (e *Engine) Stop() { e.stopped = true }
 
-// committee deterministically samples the committee for (round, step) via
-// the scheduler's seeded randomness — the sortition abstraction.
-func (e *Engine) committee(round uint64, step int) map[int]bool {
+// committee deterministically samples the committee for (round, step) —
+// the sortition abstraction — as membership indexed by node.
+func (e *Engine) committee(round uint64, step int) []bool {
 	n := len(e.net.Nodes)
-	size := committeeSize
-	if size > n {
-		size = n
-	}
-	out := make(map[int]bool, size)
+	size := min(committeeSize, n)
+	out := make([]bool, n)
 	// Deterministic LCG seeded by (round, step) so every node agrees on
 	// the committee without communication, like VRF sortition.
 	x := round*2654435761 + uint64(step)*40503 + 12345
-	for len(out) < size {
+	for members := 0; members < size; {
 		x = x*6364136223846793005 + 1442695040888963407
-		out[int(x%uint64(n))] = true
+		if i := int(x % uint64(n)); !out[i] {
+			out[i] = true
+			members++
+		}
 	}
 	return out
 }
@@ -148,6 +151,8 @@ func (e *Engine) propose() {
 	st := &roundState{
 		block:     blk,
 		cost:      cost,
+		soft:      e.committee(round, 0),
+		cert:      e.committee(round, 1),
 		blockSeen: make([]bool, size),
 		softSent:  make([]bool, size),
 		certSent:  make([]bool, size),
@@ -178,7 +183,7 @@ func (e *Engine) onBlock(idx int, round uint64) {
 	}
 	st.blockSeen[idx] = true
 	validation := chain.Scale(st.cost.Validate, e.net.OverloadRatio())
-	if e.committee(round, 0)[idx] && !st.softSent[idx] {
+	if st.soft[idx] && !st.softSent[idx] {
 		st.softSent[idx] = true
 		e.net.Sched.AfterKind(sim.KindConsensus, validation+processing, func() {
 			if e.stopped || e.net.VoteWithheld(idx) {
@@ -212,7 +217,7 @@ func (e *Engine) deliverVote(idx int, payload any) {
 		st.softCount[idx]++
 		// Cert-vote committee members move to the certifying step once
 		// the soft threshold is reached at them.
-		if st.softCount[idx] >= e.threshold() && e.committee(v.round, 1)[idx] && !st.certSent[idx] {
+		if st.softCount[idx] >= e.threshold() && st.cert[idx] && !st.certSent[idx] {
 			st.certSent[idx] = true
 			if !st.phaseVote {
 				st.phaseVote = true

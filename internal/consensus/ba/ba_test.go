@@ -1,6 +1,7 @@
 package ba
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -36,37 +37,34 @@ func TestCommitteeDeterministicAndSized(t *testing.T) {
 	_, _, eng := deploy(t, 200)
 	a := eng.committee(7, 0)
 	b := eng.committee(7, 0)
-	if len(a) != committeeSize || len(b) != committeeSize {
-		t.Fatalf("committee sizes = %d, %d", len(a), len(b))
+	if members(a) != committeeSize || members(b) != committeeSize {
+		t.Fatalf("committee sizes = %d, %d", members(a), members(b))
 	}
-	for m := range a {
-		if !b[m] {
-			t.Fatal("sortition not deterministic")
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("sortition not deterministic")
 	}
 	// Different steps and rounds sample different committees.
 	c := eng.committee(7, 1)
 	d := eng.committee(8, 0)
-	if equalSet(a, c) || equalSet(a, d) {
+	if slices.Equal(a, c) || slices.Equal(a, d) {
 		t.Fatal("committees should differ across steps and rounds")
 	}
 }
 
-func equalSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
+// members counts a committee's members.
+func members(committee []bool) int {
+	n := 0
+	for _, in := range committee {
+		if in {
+			n++
 		}
 	}
-	return true
+	return n
 }
 
 func TestSmallNetworkCommitteeIsEveryone(t *testing.T) {
 	_, _, eng := deploy(t, 5)
-	if got := len(eng.committee(1, 0)); got != 5 {
+	if got := members(eng.committee(1, 0)); got != 5 {
 		t.Fatalf("committee = %d, want all 5", got)
 	}
 	if th := eng.threshold(); th != 5*2/3+1 {

@@ -186,11 +186,7 @@ func (e *Engine) castVote(idx int, v vote, st *roundState, sent *bool) {
 	}
 	*sent = true
 	e.deliverVote(idx, v)
-	for i := range e.net.Nodes {
-		if i != idx {
-			e.net.Nodes[idx].Send(i, voteSize, v)
-		}
-	}
+	e.net.Nodes[idx].Broadcast(voteSize, v)
 }
 
 func (e *Engine) onMessage(at int, payload any) {

@@ -181,11 +181,7 @@ func (e *Engine) broadcastVote(idx int, v vote) {
 		return
 	}
 	e.onVote(idx, v)
-	for i := range e.net.Nodes {
-		if i != idx {
-			e.net.Nodes[idx].Send(i, voteSize, v)
-		}
-	}
+	e.net.Nodes[idx].Broadcast(voteSize, v)
 }
 
 func (e *Engine) onMessage(at int, payload any) {

@@ -132,12 +132,7 @@ func (e *Engine) startElection(candidate int) {
 	}
 	e.term++
 	e.votes = 1 // self-vote
-	rv := requestVote{term: e.term, candidate: candidate}
-	for i := range e.net.Nodes {
-		if i != candidate {
-			e.net.Nodes[candidate].Send(i, msgSize, rv)
-		}
-	}
+	e.net.Nodes[candidate].Broadcast(msgSize, requestVote{term: e.term, candidate: candidate})
 	// If the election stalls (partition, crashed majority), retry.
 	e.armElection((candidate + 1) % len(e.net.Nodes))
 }
@@ -187,12 +182,7 @@ func (e *Engine) heartbeat() {
 		e.armElection(e.net.Sched.Rand().Intn(len(e.net.Nodes)))
 		return
 	}
-	hb := appendEntries{term: e.term, leader: e.leader, commit: e.commitIdx}
-	for i := range e.net.Nodes {
-		if i != e.leader {
-			e.net.Nodes[e.leader].Send(i, msgSize, hb)
-		}
-	}
+	e.net.Nodes[e.leader].Broadcast(msgSize, appendEntries{term: e.term, leader: e.leader, commit: e.commitIdx})
 	e.net.Sched.AfterKind(sim.KindConsensus, heartbeatInterval, e.heartbeat)
 }
 

@@ -26,11 +26,13 @@ package remote
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"sort"
+	"syscall"
 	"time"
 
 	"diablo/internal/bench"
@@ -105,6 +107,27 @@ type SecondaryStats struct {
 	Sent      int     `json:"sent"`
 	Committed int     `json:"committed"`
 	AvgLatS   float64 `json:"avg_latency_s"`
+}
+
+// dialWait bounds how long a Secondary retries a refused connection, since
+// it may start before its Primary listens; helloWait bounds how long the
+// Primary waits for a connected peer's hello. Only tests change them.
+var (
+	dialWait  = 10 * time.Second
+	helloWait = 10 * time.Second
+)
+
+// dial connects to the Primary, retrying a refused connection until
+// dialWait has passed.
+func dial(addr string) (net.Conn, error) {
+	deadline := time.Now().Add(dialWait)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err == nil || !errors.Is(err, syscall.ECONNREFUSED) || time.Now().After(deadline) {
+			return c, err
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 type conn struct {
@@ -230,10 +253,24 @@ func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
 			return nil, err
 		}
 		cc := newConn(c)
-		hello, err := cc.recv()
-		if err != nil || hello.Type != "hello" {
+		// A peer that connects and stays silent fails registration instead
+		// of holding it forever.
+		if err := c.SetReadDeadline(time.Now().Add(helloWait)); err != nil {
 			c.Close()
-			return nil, fmt.Errorf("remote: bad hello: %v", err)
+			return nil, fmt.Errorf("remote: hello deadline: %w", err)
+		}
+		hello, err := cc.recv()
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("remote: no hello from %s: %w", c.RemoteAddr(), err)
+		}
+		if hello.Type != "hello" {
+			c.Close()
+			return nil, fmt.Errorf("remote: expected hello from %s, got %q", c.RemoteAddr(), hello.Type)
+		}
+		if err := c.SetReadDeadline(time.Time{}); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("remote: clearing hello deadline: %w", err)
 		}
 		conns = append(conns, cc)
 		locations = append(locations, hello.Location)
@@ -415,7 +452,7 @@ func (s *SecondaryConfig) logf(format string, args ...any) {
 // assignment, pre-sign and upload the workload share, then report stats
 // over the returned results.
 func RunSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
-	c, err := net.Dial("tcp", cfg.Primary)
+	c, err := dial(cfg.Primary)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -53,21 +54,9 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// runSecondary is RunSecondary for a test whose primary starts concurrently:
-// a Secondary dials once, so one scheduled ahead of the primary's Listen is
-// refused and the primary would wait for it forever. A refused dial has no
-// effect on the primary; retry it until the listener is up.
-func runSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
-	for attempt := 0; ; attempt++ {
-		st, err := RunSecondary(cfg)
-		if !errors.Is(err, syscall.ECONNREFUSED) || attempt == 500 {
-			return st, err
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // runDistributed spins up a primary and n secondaries over localhost TCP.
+// The secondaries start first, so their dials may be refused until the
+// primary listens.
 func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryResult, []*SecondaryStats) {
 	t.Helper()
 	setup, err := spec.ParseSetup("blockchain: quorum\nconfiguration: devnet\nnode-scale: 2")
@@ -88,7 +77,7 @@ func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryRes
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := runSecondary(SecondaryConfig{
+			st, err := RunSecondary(SecondaryConfig{
 				Primary:  addr,
 				Location: fmt.Sprintf("zone-%d", i),
 			})
@@ -166,9 +155,49 @@ func TestPrimaryRejectsZeroSecondaries(t *testing.T) {
 }
 
 func TestSecondaryConnectError(t *testing.T) {
+	defer func(w time.Duration) { dialWait = w }(dialWait)
+	dialWait = 100 * time.Millisecond
 	_, err := RunSecondary(SecondaryConfig{Primary: "127.0.0.1:1"})
-	if err == nil {
-		t.Fatal("dial to closed port succeeded")
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("dial to a closed port: %v, want connection refused", err)
+	}
+}
+
+// TestPrimaryRejectsSilentPeer: a peer that connects and never says hello
+// fails registration with an error instead of holding the Primary in it
+// forever.
+func TestPrimaryRejectsSilentPeer(t *testing.T) {
+	defer func(w time.Duration) { helloWait = w }(helloWait)
+	helloWait = 200 * time.Millisecond
+	setup, err := spec.ParseSetup("blockchain: quorum\nconfiguration: devnet\nnode-scale: 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchmark, err := spec.ParseBenchmark(transferYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := freePort(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunPrimary(PrimaryConfig{
+			Listen: addr, Secondaries: 1,
+			Setup: setup, Benchmark: benchmark, BenchmarkYAML: transferYAML,
+		})
+		done <- err
+	}()
+	c, err := dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "no hello") {
+			t.Fatalf("primary returned %v, want a missing-hello error", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("primary still waiting for a silent peer's hello")
 	}
 }
 
@@ -206,7 +235,7 @@ func TestDistributedAVMChain(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, secErr = runSecondary(SecondaryConfig{Primary: addr, Location: "tokyo"})
+		_, secErr = RunSecondary(SecondaryConfig{Primary: addr, Location: "tokyo"})
 	}()
 	res, err := RunPrimary(PrimaryConfig{
 		Listen: addr, Secondaries: 1,

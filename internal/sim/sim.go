@@ -10,9 +10,11 @@
 // recycled through a free list (no per-event heap allocation in steady
 // state), the priority queue is a four-ary heap of slab indices (shallower
 // than a binary heap, so fewer comparisons and better cache locality per
-// operation), and cancelled events are deleted lazily with periodic
+// operation), cancelled events are deleted lazily with periodic
 // compaction so cancel-heavy workloads (retry timers, consensus timeouts)
-// keep the queue bounded by the live event count.
+// keep the queue bounded by the live event count, and a multicast enters
+// the queue as one entry (BeginGroup), so 200 nodes voting all-to-all do
+// not fill the heap with one entry per recipient.
 package sim
 
 import (
@@ -99,6 +101,7 @@ type event struct {
 	fn   func()
 	cb   Callback
 	gen  uint32
+	grp  int32 // multicast group slot (see BeginGroup); 0 = queued alone
 	kind EventKind
 	dead bool
 	obs  bool // observer event: hidden from Executed()/Stats() accounting
@@ -136,7 +139,7 @@ func (id EventID) Cancel() {
 		s.obsLive--
 	}
 	s.ndead++
-	if s.ndead >= compactMinDead && s.ndead*2 >= len(s.heap) {
+	if s.ndead >= compactMinDead && s.ndead*2 >= s.npend {
 		s.compact()
 	}
 }
@@ -155,8 +158,10 @@ type Scheduler struct {
 	now    Time
 	slab   []event
 	free   []int32 // recycled slab slots
-	heap   []int32 // 4-ary min-heap of slab indices, ordered by (at, seq)
-	ndead  int     // cancelled events still occupying heap slots
+	heap   []int32 // 4-ary min-heap of slab indices, ordered by (at, seq): lone events and each group's next member
+	npend  int     // events scheduled and not yet run or reaped, grouped or not
+	ndead  int     // cancelled events among them
+	groups groups  // multicast groups (see BeginGroup)
 	seq    uint64
 	rng    *rand.Rand
 	rngSrc *CountingSource
@@ -193,8 +198,9 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 func (s *Scheduler) Executed() uint64 { return s.nexec - s.obsExec }
 
 // Pending reports how many events are scheduled but not yet run (including
-// cancelled events that have not been reaped or compacted away).
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// cancelled events that have not been reaped or compacted away). Every
+// member of a multicast group counts.
+func (s *Scheduler) Pending() int { return s.npend }
 
 // HeapStats is a read-only snapshot of scheduler occupancy, sampled by the
 // observability registry.
@@ -209,7 +215,7 @@ type HeapStats struct {
 // Live: they instrument the run and must not show up in its metrics.
 func (s *Scheduler) Stats() HeapStats {
 	return HeapStats{
-		Live: len(s.heap) - s.ndead - s.obsLive,
+		Live: s.npend - s.ndead - s.obsLive,
 		Dead: s.ndead,
 		Slab: len(s.slab),
 		Free: len(s.free),
@@ -239,6 +245,7 @@ func (s *Scheduler) release(idx int32) {
 	ev.obs = false
 	ev.kind = KindGeneric
 	ev.span = 0
+	ev.grp = 0
 	ev.gen++
 	s.free = append(s.free, idx)
 }
@@ -255,7 +262,12 @@ func (s *Scheduler) schedule(at Time, fn func(), cb Callback, kind EventKind) Ev
 		ev.span = s.prof.EventScheduled(kind, s.now)
 	}
 	s.seq++
-	s.heapPush(idx)
+	s.npend++
+	if s.groups.depth > 0 {
+		s.groups.open = append(s.groups.open, idx)
+	} else {
+		s.heapPush(idx)
+	}
 	return EventID{s: s, slot: idx, gen: ev.gen}
 }
 
@@ -447,22 +459,37 @@ func (s *Scheduler) heapPop() int32 {
 	return top
 }
 
-// compact removes all dead events from the heap in one O(n) pass and
-// rebuilds heap order, bounding the queue by the live event count even
-// under cancel-heavy workloads (retry timers rescheduled on every
-// delivery).
+// compact removes all dead events from the queue — lone entries, group
+// members and the open group alike — in one O(n) pass and rebuilds heap
+// order, bounding the queue by the live event count even under
+// cancel-heavy workloads (retry timers rescheduled on every delivery).
 //perf:noalloc
 func (s *Scheduler) compact() {
+	n := 0
 	live := s.heap[:0]
 	for _, idx := range s.heap {
-		if s.slab[idx].dead {
-			s.release(idx)
+		slot := s.slab[idx].grp
+		if slot == 0 {
+			if s.slab[idx].dead {
+				s.release(idx)
+				continue
+			}
+			live = append(live, idx)
+			n++
 			continue
 		}
-		live = append(live, idx)
+		gr := &s.groups.slots[slot]
+		gr.members, gr.next = s.sweep(gr.members[:0], gr.members[gr.next:]), 0
+		if len(gr.members) == 0 {
+			s.groups.drop(slot)
+			continue
+		}
+		live = append(live, gr.members[0])
+		n += len(gr.members)
 	}
-	s.heap = live
-	s.ndead = 0
+	s.groups.open = s.sweep(s.groups.open[:0], s.groups.open)
+	n += len(s.groups.open)
+	s.heap, s.npend, s.ndead = live, n, 0
 	// Bottom-up heapify: O(n), cheaper than n pushes.
 	for i := (len(live) - 2) / 4; i >= 0; i-- {
 		s.siftDown(i)
@@ -474,7 +501,7 @@ func (s *Scheduler) compact() {
 //perf:noalloc
 func (s *Scheduler) Step() bool {
 	for len(s.heap) > 0 && !s.halted {
-		idx := s.heapPop()
+		idx := s.pop()
 		ev := &s.slab[idx]
 		if ev.dead {
 			s.ndead--
@@ -523,7 +550,7 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		idx := s.heap[0]
 		ev := &s.slab[idx]
 		if ev.dead {
-			s.heapPop()
+			s.pop()
 			s.ndead--
 			s.release(idx)
 			continue

@@ -47,7 +47,8 @@ func (c *CountingSource) Draws() uint64 { return c.n }
 func (s *Scheduler) RandDraws() uint64 { return s.rngSrc.Draws() }
 
 // SnapshotState implements snapshot.Stater: clock, event-loop counters,
-// RNG position, and a digest over the live event queue. Pending events are
+// RNG position, and a digest over the live event queue. Pending events —
+// every member of a queued or open multicast group included — are
 // summarized as sorted (at, seq, kind) triples — the closures themselves
 // cannot be serialized, but two deterministic runs at the same virtual time
 // with identical histories have identical (at, seq, kind) sets. Folding in
@@ -69,13 +70,23 @@ func (s *Scheduler) SnapshotState(e *snapshot.Encoder) {
 		seq  uint64
 		kind EventKind
 	}
-	live := make([]pending, 0, len(s.heap))
-	for _, idx := range s.heap {
-		ev := &s.slab[idx]
-		if !ev.dead {
-			live = append(live, pending{ev.at, ev.seq, ev.kind})
+	live := make([]pending, 0, s.npend)
+	add := func(slots []int32) {
+		for _, idx := range slots {
+			if ev := &s.slab[idx]; !ev.dead {
+				live = append(live, pending{ev.at, ev.seq, ev.kind})
+			}
 		}
 	}
+	for i, idx := range s.heap {
+		if slot := s.slab[idx].grp; slot != 0 {
+			gr := &s.groups.slots[slot]
+			add(gr.members[gr.next:])
+		} else {
+			add(s.heap[i : i+1])
+		}
+	}
+	add(s.groups.open)
 	sort.Slice(live, func(i, j int) bool {
 		if live[i].at != live[j].at {
 			return live[i].at < live[j].at

@@ -58,6 +58,31 @@ func TestSimnetSendAllocsWithStats(t *testing.T) {
 	}
 }
 
+// TestBroadcastAllocs pins the multicast path: once the envelope pool, the
+// scheduler slab and the group buffers are warm, two 200-node broadcasts in
+// flight together and their 398 deliveries allocate nothing, 0 per
+// recipient.
+func TestBroadcastAllocs(t *testing.T) {
+	s := sim.NewScheduler(1)
+	net := New(s)
+	for _, r := range PlaceEvenly(200, AllRegions()) {
+		net.AddNode(r).SetHandler(func(Message) {})
+	}
+	var payload any = "vote"
+	for i := 0; i < 8; i++ { // warm the pools with more broadcasts in flight than below
+		net.Broadcast(NodeID(i), 100, payload)
+	}
+	s.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		net.Broadcast(3, 100, payload)
+		net.Broadcast(150, 100, payload)
+		s.Run()
+	})
+	if allocs > 0 {
+		t.Fatalf("two warm 200-node broadcasts allocate %.1f objects, want 0", allocs)
+	}
+}
+
 // TestFaultEpochInvalidation guards the per-link fault cache: editing,
 // re-editing and clearing faults must take effect on the very next send,
 // not only on links that have never cached a (nil) fault.

@@ -491,13 +491,17 @@ func (ls *LinkStats) Lines() []LinkLine {
 	return out
 }
 
-// Broadcast sends the payload from one node to every other node.
+// Broadcast sends the payload from one node to every other node, its
+// deliveries queued as one multicast group (see sim.Scheduler.BeginGroup).
+//perf:noalloc
 func (n *Network) Broadcast(from NodeID, size int, payload any) {
+	n.Sched.BeginGroup()
 	for _, node := range n.nodes {
 		if node.ID != from {
 			n.Send(from, node.ID, size, payload)
 		}
 	}
+	n.Sched.EndGroup()
 }
 
 // PlaceEvenly returns region assignments for count nodes spread equally
