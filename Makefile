@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint lint-fast lint-audit race fuzz-smoke bench bench-exhibits exhibits exhibits-quick examples trace-smoke snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke clean
+.PHONY: build test test-short vet lint lint-fast lint-audit race fuzz-smoke bench-exhibits exhibits exhibits-quick examples trace-smoke snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke clean
 
 build:
 	$(GO) build ./...
@@ -47,27 +47,16 @@ fuzz-smoke:
 test-short:
 	$(GO) test -short ./...
 
-# Race-detector pass over the packages the chaos engine, the parallel
-# sweep runner and the parallel block executor touch, and the two
-# interpreters, whose decoded programs the executor's lanes share.
+# Race-detector pass: the parallel sweep runner (bench, core, report) and the
+# parallel block executor (chains, pexec) with the two interpreters whose
+# decoded programs its lanes share, plus the sim-time packages they drive.
 race:
 	$(GO) test -race ./internal/sim ./internal/chaos ./internal/simnet \
 		./internal/chains/... ./internal/bench ./internal/core \
 		./internal/obs ./internal/collect ./internal/snapshot \
-		./internal/report ./internal/perfharness \
-		./internal/adversary ./internal/invariant ./internal/pexec \
-		./internal/span ./internal/stream ./internal/vm ./internal/avm
-
-# Tracked perf harness: scheduler events/sec, simnet msgs/sec, end-to-end
-# cell runtime, parallel-sweep speedup, intra-block execution speedup and
-# million-client stream generation (allocs/tx + peak heap budgets).
-# Gates against the recorded BENCH_PR7.json baseline (fails on a >20%
-# scheduler-throughput drop, a hot path that allocates again, a
-# nondeterministic parallel pass, or a stream generator that stops being
-# constant-memory — throughput ratios only gate when the baseline ran at
-# the same GOMAXPROCS), then records BENCH_PR9.json.
-bench:
-	$(GO) run ./cmd/diablo bench --out=BENCH_PR9.json --baseline=BENCH_PR7.json
+		./internal/report ./internal/adversary ./internal/invariant \
+		./internal/pexec ./internal/span ./internal/stream \
+		./internal/vm ./internal/avm
 
 # One Go benchmark per table/figure, reduced scale.
 bench-exhibits:

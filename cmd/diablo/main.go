@@ -28,7 +28,6 @@ import (
 	"diablo/internal/bench"
 	"diablo/internal/collect"
 	"diablo/internal/obs"
-	"diablo/internal/perfharness"
 	"diablo/internal/remote"
 	"diablo/internal/report"
 	"diablo/internal/snapshot"
@@ -38,37 +37,42 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "primary":
-		err = runPrimary(os.Args[2:])
-	case "secondary":
-		err = runSecondary(os.Args[2:])
-	case "run":
-		err = runLocal(os.Args[2:])
-	case "bench":
-		err = runBench(os.Args[2:])
-	case "help", "-h", "--help":
-		usage()
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		log.Fatalf("diablo: %v", err)
-	}
+	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// run dispatches one subcommand and returns the process exit status: 0 on
+// success, 1 when the command fails, 2 on a usage error.
+func run(args []string, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	var err error
+	switch args[0] {
+	case "primary":
+		err = runPrimary(args[1:])
+	case "secondary":
+		err = runSecondary(args[1:])
+	case "run":
+		err = runLocal(args[1:])
+	case "help", "-h", "--help":
+		usage(stderr)
+	default:
+		usage(stderr)
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "diablo: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   diablo primary   [flags] <secondaries> <setup.yaml> <workload.yaml>
   diablo secondary [flags]
   diablo run       [flags] <setup.yaml> <workload.yaml>
-  diablo bench     [flags]
 
 primary flags:
   --port=5000         port the secondaries connect to
@@ -112,15 +116,7 @@ run flags:
                             exits non-zero
   --exec-workers=N          parallel intra-block execution workers; results
                             are byte-identical at any count (-1 = take the
-                            spec's parallel-execution setting, 0/1 = serial)
-
-bench flags:
-  --out=BENCH_PR9.json      write the machine-readable perf record
-  --baseline=FILE           gate against a recorded baseline (default: --out
-                            if it exists)
-  --tolerance=0.2           allowed throughput drop before failing
-  --workers=0               parallel-sweep pool size (0 = GOMAXPROCS)
-  --quick                   shrunken stages for smoke runs`)
+                            spec's parallel-execution setting, 0/1 = serial)`)
 }
 
 // verbosity consumes -v/-vv/-vvv flags, returning the level and the rest.
@@ -623,55 +619,6 @@ func lastDot(s string) int {
 		}
 	}
 	return -1
-}
-
-// runBench executes the tracked perf harness (scheduler throughput, simnet
-// message rate, end-to-end cell runtime, sweep speedup, intra-block
-// execution speedup, million-client stream generation), gates it against a
-// recorded baseline and records the new measurement.
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	out := fs.String("out", "BENCH_PR9.json", "machine-readable output path (empty = don't write)")
-	baseline := fs.String("baseline", "", "baseline to gate against (default: --out if it exists)")
-	tolerance := fs.Float64("tolerance", 0.2, "allowed relative throughput drop")
-	workers := fs.Int("workers", 0, "parallel-sweep pool size (0 = GOMAXPROCS)")
-	quick := fs.Bool("quick", false, "shrunken stages for smoke runs")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	base := *baseline
-	if base == "" && *out != "" {
-		base = *out
-	}
-	// A missing baseline is not an error: the first run records it.
-	var recorded *perfharness.Result
-	if base != "" {
-		if _, err := os.Stat(base); err == nil {
-			r, err := perfharness.ReadJSON(base)
-			if err != nil {
-				return err
-			}
-			recorded = r
-		}
-	}
-	res, err := perfharness.Run(perfharness.Options{SweepWorkers: *workers, Quick: *quick})
-	if err != nil {
-		return err
-	}
-	perfharness.Render(os.Stdout, res)
-	if recorded != nil {
-		if err := perfharness.Compare(res, recorded, *tolerance); err != nil {
-			return err
-		}
-		fmt.Printf("baseline %s: within %.0f%% tolerance\n", base, *tolerance*100)
-	}
-	if *out != "" {
-		if err := perfharness.WriteJSON(*out, res); err != nil {
-			return err
-		}
-		fmt.Printf("recorded to %s\n", *out)
-	}
-	return nil
 }
 
 func loadSpecs(setupPath, workloadPath string) (*spec.Setup, *spec.Benchmark, string, error) {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"diablo/internal/bench"
 	"diablo/internal/configs"
+	"diablo/internal/snapshot"
 	"diablo/internal/stream"
+	"diablo/internal/types"
+	"diablo/internal/wallet"
 )
 
 // streamExperiment is a small quorum run driven purely by streams: a
@@ -123,4 +127,82 @@ func TestStreamResumeReconciles(t *testing.T) {
 	if !reflect.DeepEqual(out.Summary, out2.Summary) {
 		t.Fatalf("resumed summary differs: %+v vs %+v", out.Summary, out2.Summary)
 	}
+}
+
+// Budgets of the million-client generation pass. A wallet materialising the
+// population alone would need hundreds of MB; the lazy pipeline's heap must
+// not grow with it, and account derivation plus signing is a constant
+// number of allocations per transaction.
+const (
+	streamHeapBudgetMB = 128
+	streamAllocBudget  = 16
+)
+
+// streamPass is one full generation run: every implicit client of the
+// flash-crowd scenario mints once, signed through the lazy wallet. It
+// returns the digest over (client, nonce, signature), the transaction
+// count, the allocations per transaction and the peak heap (sampled every
+// 64Ki transactions).
+func streamPass(t *testing.T, clients int) (digest uint64, txs int, allocsPerTx, peakHeapMB float64) {
+	t.Helper()
+	src, err := stream.Build(stream.Config{
+		Scenario: "flash-mint",
+		Clients:  uint64(clients),
+		// Peak and decay only shape virtual timestamps; peak*decay > clients
+		// guarantees the whole population drains.
+		Peak:     float64(clients),
+		Decay:    4 * time.Second,
+		Duration: 60 * time.Second,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := wallet.NewLazy(wallet.FastScheme{}, "perf/stream", 0)
+	contract := types.Address{0xD0}
+	h := snapshot.NewHash()
+	var tx types.Transaction
+	var it stream.Intent
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	mallocs0, peak := ms.Mallocs, ms.HeapAlloc
+	for src.Next(&it) {
+		tx = types.Transaction{Kind: types.KindInvoke, To: contract, Nonce: it.Nonce}
+		lazy.Account(it.Client).Sign(&tx)
+		h.U64(it.Client)
+		h.U64(it.Nonce)
+		h.Bytes(tx.Sig)
+		txs++
+		if txs&0xFFFF == 0 {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	peak = max(peak, ms.HeapAlloc)
+	return h.Sum(), txs, float64(ms.Mallocs-mallocs0) / float64(txs), float64(peak) / (1 << 20)
+}
+
+// TestMillionClientStreamBudgets streams a million implicit clients through
+// the lazy wallet twice: peak heap and allocations per transaction stay
+// inside constant budgets, and both passes sign the same transactions.
+func TestMillionClientStreamBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a million signed transactions twice")
+	}
+	const clients = 1_000_000
+	digest, txs, allocs, peakMB := streamPass(t, clients)
+	if txs != clients {
+		t.Fatalf("generated %d transactions for %d clients", txs, clients)
+	}
+	if peakMB > streamHeapBudgetMB {
+		t.Errorf("peak heap %.1f MB exceeds the %d MB budget", peakMB, streamHeapBudgetMB)
+	}
+	if allocs > streamAllocBudget {
+		t.Errorf("%.1f allocs/tx, budget %d", allocs, streamAllocBudget)
+	}
+	if again, txs2, _, _ := streamPass(t, clients); again != digest || txs2 != txs {
+		t.Errorf("second pass diverged: digest %016x vs %016x, %d vs %d txs", again, digest, txs2, txs)
+	}
+	t.Logf("%d txs: %.2f allocs/tx, peak heap %.1f MB", txs, allocs, peakMB)
 }

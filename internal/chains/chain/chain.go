@@ -506,13 +506,6 @@ func (n *Network) AssembleBlock(proposer int, allowEmpty bool) (*types.Block, Co
 	return n.AssembleBlockBudgeted(proposer, allowEmpty, n.Params.MaxBlockTxs, 0)
 }
 
-// AssembleBlockLimited is AssembleBlock with an explicit transaction-count
-// cap, used by engines whose effective capacity varies (Solana's leader
-// packs less when verification overloads its slot budget).
-func (n *Network) AssembleBlockLimited(proposer int, allowEmpty bool, maxTxs int) (*types.Block, Cost) {
-	return n.AssembleBlockBudgeted(proposer, allowEmpty, maxTxs, 0)
-}
-
 // AssembleBlockBudgeted additionally bounds the proposer's serial
 // execution time (slot-driven chains can only pack what executes within
 // the slot).

@@ -47,9 +47,9 @@ type Config struct {
 // DefaultDeterministic is the sim-time package set of this reproduction:
 // every package whose code runs inside (or is entered from) the
 // deterministic event loop. Packages outside the set — the wall-clock
-// measuring bench/perfharness layers, report rendering, CLIs — are still
-// covered by the wallclock analyzer's call-graph reachability, just not
-// held to the single-goroutine contract.
+// measuring layers (internal/bench, benchmark/), report rendering, CLIs —
+// are still covered by the wallclock analyzer's call-graph reachability,
+// just not held to the single-goroutine contract.
 func DefaultDeterministic(modPath string) []string {
 	return []string{
 		modPath + "/internal/sim",

@@ -132,7 +132,7 @@ func (p *Pool) Contains(id types.Hash) bool {
 	return ok
 }
 
-// TakeSpec parameterizes a block-assembly Take.
+// TakeSpec parameterizes a block-assembly TakeWith.
 type TakeSpec struct {
 	// Viewer and Now select which entries are visible (gossip delays).
 	Viewer int
@@ -147,7 +147,10 @@ type TakeSpec struct {
 	// within the fixed slot.
 	MaxCost time.Duration
 	CostOf  func(*types.Transaction) time.Duration
-	// NextNonce, when set, enforces strict per-sender sequencing.
+	// NextNonce, when set, enforces strict per-sender sequencing (Diem): a
+	// sender's transactions are taken only in contiguous nonce order, so a
+	// gap — e.g. a dropped transaction — stalls everything behind it from
+	// that sender, the mechanism behind Diem's collapse under drops (§6.3).
 	NextNonce func(types.Address) uint64
 	// MinGasPrice, when positive, skips (but keeps pooled) transactions
 	// whose gas price is below the current base fee — the London
@@ -168,18 +171,12 @@ type TakeSpec struct {
 	Origins *[]int32
 }
 
-// Take removes and returns up to maxTxs transactions visible to the viewer
-// node at virtual time now, whose intrinsic-plus-limit gas fits within
-// maxGas (0 = unlimited). Selection is FIFO; entries not yet visible to
-// this viewer are skipped but stay pooled.
-func (p *Pool) Take(viewer int, now time.Duration, maxTxs int, maxGas uint64, gasOf func(*types.Transaction) uint64) []*types.Transaction {
-	return p.TakeWith(TakeSpec{Viewer: viewer, Now: now, MaxTxs: maxTxs, MaxGas: maxGas, GasOf: gasOf})
-}
-
-// TakeWith is the generalized Take (see TakeSpec). It scans from the head
-// only as far as the entry that ends the take (MaxTxs, MaxGas or MaxCost
-// reached), so a block's worth out of a deep backlog costs O(taken +
-// skipped), not O(depth); the ordering invariant makes that exact.
+// TakeWith removes and returns the transactions the spec selects, in FIFO
+// order; entries not yet visible to the viewer are skipped but stay pooled
+// (see TakeSpec). It scans from the head only as far as the entry that
+// ends the take (MaxTxs, MaxGas or MaxCost reached), so a block's worth
+// out of a deep backlog costs O(taken + skipped), not O(depth); the
+// ordering invariant makes that exact.
 func (p *Pool) TakeWith(spec TakeSpec) []*types.Transaction {
 	var out []*types.Transaction
 	var gas uint64
@@ -280,18 +277,6 @@ func (p *Pool) remove(tx *types.Transaction) {
 	} else {
 		p.bySender[tx.From] = c - 1
 	}
-}
-
-// TakeSequenced is Take for chains with strict per-sender sequence
-// numbers (Diem): a sender's transactions are only taken in contiguous
-// nonce order starting from nextNonce(sender). A gap — e.g. a dropped
-// transaction — stalls everything behind it from that sender, which is
-// the mechanism behind Diem's throughput collapse under drops (§6.3).
-func (p *Pool) TakeSequenced(viewer int, now time.Duration, maxTxs int, maxGas uint64, gasOf func(*types.Transaction) uint64, nextNonce func(types.Address) uint64) []*types.Transaction {
-	return p.TakeWith(TakeSpec{
-		Viewer: viewer, Now: now, MaxTxs: maxTxs, MaxGas: maxGas,
-		GasOf: gasOf, NextNonce: nextNonce,
-	})
 }
 
 // RemoveCommitted evicts transactions that were committed in a block

@@ -23,7 +23,7 @@ func TestFIFOTake(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := p.Take(0, time.Minute, 3, 0, nil)
+	got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute, MaxTxs: 3})
 	if len(got) != 3 {
 		t.Fatalf("took %d, want 3", len(got))
 	}
@@ -35,7 +35,7 @@ func TestFIFOTake(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", p.Len())
 	}
-	rest := p.Take(0, time.Minute, 0, 0, nil)
+	rest := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute})
 	if len(rest) != 2 || rest[0].Nonce != 3 {
 		t.Fatalf("remaining take wrong: %v", rest)
 	}
@@ -69,7 +69,7 @@ func TestCapacityBound(t *testing.T) {
 		t.Fatalf("dropped=%d accepted=%d", p.Dropped(), p.Accepted())
 	}
 	// Taking frees capacity.
-	p.Take(0, time.Minute, 1, 0, nil)
+	p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute, MaxTxs: 1})
 	if err := p.Add(tx(1, 99), 0, 0); err != nil {
 		t.Fatalf("add after take: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestPerSenderCapDiem(t *testing.T) {
 		t.Fatalf("other sender blocked: %v", err)
 	}
 	// Removing frees the sender's budget.
-	p.Take(0, time.Minute, 1, 0, nil)
+	p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute, MaxTxs: 1})
 	if err := p.Add(tx(1, 100), 0, 0); err != nil {
 		t.Fatalf("add after free: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestGasLimitedTake(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		p.Add(tx(1, i), 0, 0)
 	}
-	got := p.Take(0, time.Minute, 0, 63000, gasOf) // 3 x 21000
+	got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute, MaxGas: 63000, GasOf: gasOf}) // 3 x 21000
 	if len(got) != 3 {
 		t.Fatalf("took %d txs, want 3 within gas limit", len(got))
 	}
@@ -130,7 +130,7 @@ func TestOversizedTxDropped(t *testing.T) {
 	big.GasLimit = 50_000_000
 	p.Add(big, 0, 0)
 	p.Add(tx(1, 1), 0, 0)
-	got := p.Take(0, time.Minute, 0, 8_000_000, gasOf)
+	got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute, MaxGas: 8_000_000, GasOf: gasOf})
 	if len(got) != 1 || got[0].Nonce != 1 {
 		t.Fatalf("oversized tx not skipped: %v", got)
 	}
@@ -153,14 +153,14 @@ func TestVisibilityDelay(t *testing.T) {
 	p := New(Policy{}, vis)
 	p.Add(tx(1, 0), 1, time.Second)
 
-	if got := p.Take(0, time.Second, 0, 0, nil); len(got) != 0 {
+	if got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Second}); len(got) != 0 {
 		t.Fatal("tx visible before gossip delay")
 	}
-	if got := p.Take(1, time.Second, 0, 0, nil); len(got) != 1 {
+	if got := p.TakeWith(TakeSpec{Viewer: 1, Now: time.Second}); len(got) != 1 {
 		t.Fatal("tx not visible at its origin")
 	}
 	p.Add(tx(1, 1), 1, time.Second)
-	if got := p.Take(0, 1500*time.Millisecond, 0, 0, nil); len(got) != 1 {
+	if got := p.TakeWith(TakeSpec{Viewer: 0, Now: 1500 * time.Millisecond}); len(got) != 1 {
 		t.Fatal("tx not visible after gossip delay")
 	}
 }
@@ -177,7 +177,7 @@ func TestVisibilitySkipPreservesOrder(t *testing.T) {
 	p.Add(tx(1, 1), 0, 0) // visible
 	p.Add(tx(1, 2), 9, 0) // invisible
 	p.Add(tx(1, 3), 0, 0) // visible
-	got := p.Take(0, time.Second, 0, 0, nil)
+	got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Second})
 	if len(got) != 2 || got[0].Nonce != 1 || got[1].Nonce != 3 {
 		t.Fatalf("visible take wrong: %+v", got)
 	}
@@ -185,7 +185,7 @@ func TestVisibilitySkipPreservesOrder(t *testing.T) {
 		t.Fatalf("Len = %d, want 2 invisible left", p.Len())
 	}
 	// The skipped entries are still takeable at their origin.
-	got = p.Take(9, time.Second, 0, 0, nil)
+	got = p.TakeWith(TakeSpec{Viewer: 9, Now: time.Second})
 	if len(got) != 2 || got[0].Nonce != 0 || got[1].Nonce != 2 {
 		t.Fatalf("origin take wrong: %+v", got)
 	}
@@ -209,7 +209,7 @@ func TestRemoveCommitted(t *testing.T) {
 	if p.Len() != 3 {
 		t.Fatalf("Len = %d", p.Len())
 	}
-	got := p.Take(0, time.Minute, 0, 0, nil)
+	got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute})
 	if got[0].Nonce != 0 || got[1].Nonce != 2 || got[2].Nonce != 4 {
 		t.Fatalf("wrong survivors: %v", got)
 	}
@@ -260,7 +260,7 @@ func TestPoolInvariantsProperty(t *testing.T) {
 					inPool[x.ID()] = true
 				}
 			} else {
-				for _, x := range p.Take(0, time.Hour, rng.Intn(5)+1, 0, nil) {
+				for _, x := range p.TakeWith(TakeSpec{Viewer: 0, Now: time.Hour, MaxTxs: rng.Intn(5) + 1}) {
 					if !inPool[x.ID()] || taken[x.ID()] {
 						return false // lost or duplicated
 					}
@@ -504,7 +504,7 @@ func BenchmarkPoolAddTake(b *testing.B) {
 		y.Nonce = uint64(i)
 		p.Add(&y, 0, time.Duration(i))
 		if i%100 == 99 {
-			p.Take(0, time.Duration(i)+time.Hour, 100, 0, nil)
+			p.TakeWith(TakeSpec{Viewer: 0, Now: time.Duration(i) + time.Hour, MaxTxs: 100})
 		}
 	}
 }

@@ -111,7 +111,8 @@ type SecondaryStats struct {
 
 // dialWait bounds how long a Secondary retries a refused connection, since
 // it may start before its Primary listens; helloWait bounds how long the
-// Primary waits for a connected peer's hello. Only tests change them.
+// Primary waits for a connected peer's hello and, once it has sent a
+// Secondary its results, for the stats ack. Only tests change them.
 var (
 	dialWait  = 10 * time.Second
 	helloWait = 10 * time.Second
@@ -417,9 +418,19 @@ func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
 		if err := c.send(&Message{Type: "result", Results: perSec[i]}); err != nil {
 			return nil, err
 		}
+		// A Secondary acks its results at once; one that never does fails
+		// the run instead of holding the Primary forever.
+		if err := c.c.SetReadDeadline(time.Now().Add(helloWait)); err != nil {
+			return nil, fmt.Errorf("remote: stats deadline: %w", err)
+		}
 		m, err := c.recv()
-		if err != nil || m.Type != "stats" || m.Stats == nil {
-			return nil, fmt.Errorf("remote: secondary %d stats: %v", i, err)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("remote: no stats ack from secondary %d: %w", i, err)
+		case m.Type != "stats":
+			return nil, fmt.Errorf("remote: secondary %d: expected stats, got %q", i, m.Type)
+		case m.Stats == nil:
+			return nil, fmt.Errorf("remote: secondary %d: stats missing", i)
 		}
 		res.Stats = append(res.Stats, *m.Stats)
 	}

@@ -163,12 +163,11 @@ func TestSecondaryConnectError(t *testing.T) {
 	}
 }
 
-// TestPrimaryRejectsSilentPeer: a peer that connects and never says hello
-// fails registration with an error instead of holding the Primary in it
-// forever.
-func TestPrimaryRejectsSilentPeer(t *testing.T) {
-	defer func(w time.Duration) { helloWait = w }(helloWait)
-	helloWait = 200 * time.Millisecond
+// startPrimary runs a one-Secondary Primary on the transfer benchmark in
+// the background and returns its address and the channel its error arrives
+// on.
+func startPrimary(t *testing.T) (string, <-chan error) {
+	t.Helper()
 	setup, err := spec.ParseSetup("blockchain: quorum\nconfiguration: devnet\nnode-scale: 2")
 	if err != nil {
 		t.Fatal(err)
@@ -186,18 +185,80 @@ func TestPrimaryRejectsSilentPeer(t *testing.T) {
 		})
 		done <- err
 	}()
+	return addr, done
+}
+
+// primaryError waits for the Primary's error and requires it to name want.
+func primaryError(t *testing.T, done <-chan error, want string) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("primary returned %v, want an error naming %q", err, want)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("primary still waiting on its peer")
+	}
+}
+
+// TestPrimaryRejectsSilentPeer: a peer that connects and never says hello
+// fails registration with an error instead of holding the Primary in it
+// forever.
+func TestPrimaryRejectsSilentPeer(t *testing.T) {
+	defer func(w time.Duration) { helloWait = w }(helloWait)
+	helloWait = 200 * time.Millisecond
+	addr, done := startPrimary(t)
 	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "no hello") {
-			t.Fatalf("primary returned %v, want a missing-hello error", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("primary still waiting for a silent peer's hello")
+	primaryError(t, done, "no hello")
+}
+
+// TestPrimaryChecksStatsAck: a Secondary that registers, uploads nothing and
+// takes its results, then acks with the wrong message, with no stats or not
+// at all, fails the Primary with an error saying which.
+func TestPrimaryChecksStatsAck(t *testing.T) {
+	defer func(w time.Duration) { helloWait = w }(helloWait)
+	helloWait = 200 * time.Millisecond
+	cases := []struct {
+		name string
+		ack  *Message // nil = stay silent
+		want string
+	}{
+		{"wrong type", &Message{Type: "done"}, `expected stats, got "done"`},
+		{"stats missing", &Message{Type: "stats"}, "stats missing"},
+		{"silent", nil, "no stats ack"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, done := startPrimary(t)
+			c, err := dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cc := newConn(c)
+			if err := cc.send(&Message{Type: "hello"}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := cc.recv(); err != nil || m.Type != "assign" {
+				t.Fatalf("expected assign: %v %v", m, err)
+			}
+			if err := cc.send(&Message{Type: "done"}); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := cc.recv(); err != nil || m.Type != "result" {
+				t.Fatalf("expected result: %v %v", m, err)
+			}
+			if tc.ack != nil {
+				if err := cc.send(tc.ack); err != nil {
+					t.Fatal(err)
+				}
+			}
+			primaryError(t, done, tc.want)
+		})
 	}
 }
 

@@ -572,8 +572,5 @@ func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 // currently executing event finishes. Pending events stay queued.
 func (s *Scheduler) Halt() { s.halted = true }
 
-// Halted reports whether Halt has been called.
-func (s *Scheduler) Halted() bool { return s.halted }
-
 // Resume clears a previous Halt so the loop can continue.
 func (s *Scheduler) Resume() { s.halted = false }

@@ -43,9 +43,6 @@ func (c *CountingSource) Seed(seed int64) {
 // Draws reports how many values have been drawn since the last seed.
 func (c *CountingSource) Draws() uint64 { return c.n }
 
-// RandDraws reports the scheduler RNG's draw position.
-func (s *Scheduler) RandDraws() uint64 { return s.rngSrc.Draws() }
-
 // SnapshotState implements snapshot.Stater: clock, event-loop counters,
 // RNG position, and a digest over the live event queue. Pending events —
 // every member of a queued or open multicast group included — are

@@ -601,9 +601,6 @@ func EncodeCalldata(selector uint64, args ...uint64) []uint64 {
 	return append(out, args...)
 }
 
-// CalldataBytes returns the byte size of calldata for gas accounting.
-func CalldataBytes(calldata []uint64) int { return len(calldata) * 8 }
-
 // Disassemble renders bytecode as human-readable assembly, one instruction
 // per line, used by compiler tests and debugging.
 func Disassemble(code []byte) string {

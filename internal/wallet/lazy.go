@@ -20,8 +20,7 @@ type Lazy struct {
 	seedBuf   []byte
 	signBuf   []byte // shared by every derived account (see Account.buf)
 
-	// Derived and Hits count account derivations and cache hits, for the
-	// perf harness's allocs-per-transaction accounting.
+	// Derived and Hits count account derivations and cache hits.
 	Derived uint64
 	Hits    uint64
 }
