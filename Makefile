@@ -9,12 +9,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Determinism linter: proves the sim-time packages clean of wall clocks,
 # global randomness, order-sensitive map iteration, concurrency primitives,
-# unmirrored snapshot methods, float math on ordering/digest paths,
-# unencoded mutable snapshot fields, impure observers, and heap allocation
-# in //perf:noalloc hot paths (DESIGN.md "Determinism rules & lint" and
+# float math on ordering/digest paths, unencoded mutable snapshot fields,
+# impure observers, and heap allocation in //perf:noalloc hot paths (DESIGN.md "Determinism rules & lint" and
 # "Static analysis v2"). Exits non-zero on any unsuppressed finding.
 lint:
 	$(GO) run ./cmd/diablo-lint ./...

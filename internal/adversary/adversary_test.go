@@ -161,7 +161,7 @@ func TestEngineWindowToggling(t *testing.T) {
 		{17 * time.Second, true, false, false}, // both equivocate windows open
 		{22 * time.Second, true, true, false},
 		{29 * time.Second, true, true, true},
-		{31 * time.Second, false, false, true}, // equivocate and withhold windows over
+		{31 * time.Second, false, false, true},  // equivocate and withhold windows over
 		{100 * time.Second, false, false, true}, // open-ended censor never closes
 	}
 	for i, w := range want {

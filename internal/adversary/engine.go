@@ -46,8 +46,8 @@ type Engine struct {
 	Censored      uint64 // transactions skipped by a censoring proposer
 	Replayed      uint64 // stale messages re-delivered by Replay
 
-	tracer *obs.Tracer  //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
-	faults *obs.Counter //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	tracer *obs.Tracer
+	faults *obs.Counter
 }
 
 // Install schedules every behavior window of the schedule on the
@@ -249,10 +249,4 @@ func (eng *Engine) SnapshotState(e *snapshot.Encoder) {
 		h.U64(s)
 	}
 	e.U64("state_digest", h.Sum())
-}
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live engine.
-func (eng *Engine) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(eng, d)
 }

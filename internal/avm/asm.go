@@ -76,9 +76,6 @@ func (a *Assembler) Log(nargs uint8) *Assembler {
 	return a
 }
 
-// PC returns the current offset.
-func (a *Assembler) PC() int { return len(a.code) }
-
 // Build resolves branch displacements and returns the program.
 func (a *Assembler) Build() ([]byte, error) {
 	out := append([]byte(nil), a.code...)

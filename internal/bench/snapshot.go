@@ -31,11 +31,6 @@ func (s streamSection) SnapshotState(e *snapshot.Encoder) {
 	}
 }
 
-// RestoreState implements snapshot.Restorer.
-func (s streamSection) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(s, d)
-}
-
 // ckState tracks a run's checkpoint recorder. All methods are safe on the
 // nil receiver, which is the disabled (no checkpointing) state.
 type ckState struct {

@@ -121,7 +121,7 @@ func TestSpanCheckpointResume(t *testing.T) {
 }
 
 // TestMetricsRegistryResumeUnderDeltaCheckpoints pins the obs registry's
-// SnapshotState/RestoreState under the delta-encoded (v2) checkpoint
+// SnapshotState reconciliation under the delta-encoded (v2) checkpoint
 // format: resuming from a checkpoint whose obs section may be elided
 // against its delta base must reproduce the exact metrics timeline.
 func TestMetricsRegistryResumeUnderDeltaCheckpoints(t *testing.T) {

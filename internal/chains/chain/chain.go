@@ -181,9 +181,9 @@ type Network struct {
 	// at zero cost. Obs holds the registry counters, nil-disabled the same
 	// way. Both are set by Instrument. spans, when attached, records the
 	// causal span tree (DESIGN.md §15); nil-disabled like the tracer.
-	tracer *obs.Tracer    //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
-	Obs    Metrics        //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
-	spans  *span.Recorder //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	tracer *obs.Tracer
+	Obs    Metrics //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	spans  *span.Recorder
 
 	// Stats
 	TotalCommittedTxs uint64
@@ -394,10 +394,6 @@ func (n *Network) SetSpans(r *span.Recorder) {
 		})
 	}
 }
-
-// Spans returns the attached span recorder (nil when disabled); every
-// recorder method is safe on nil, so callers use it unconditionally.
-func (n *Network) Spans() *span.Recorder { return n.spans }
 
 // RoundBegin opens a consensus-round interval span led by leader at the
 // given view/height. Returns the span id for RoundPhase/RoundEnd; 0 when

@@ -90,7 +90,7 @@ type Executor struct {
 
 	// spans, when attached (Network.SetSpans), receives per-key conflict
 	// attributions from the parallel commit scan; nil-disabled.
-	spans *span.Recorder //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	spans *span.Recorder
 }
 
 // engine is what interprets contract calls one at a time: an interpreter for

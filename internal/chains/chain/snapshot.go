@@ -41,12 +41,6 @@ func (n *Network) SnapshotState(e *snapshot.Encoder) {
 	e.U64("view_digest", views.Sum())
 }
 
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live network.
-func (n *Network) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(n, d)
-}
-
 // xorHashes folds a set of transaction IDs order-independently, so state
 // held in maps can be digested without sorting on every checkpoint.
 func xorHashes(h uint64, id types.Hash) uint64 {
@@ -122,10 +116,4 @@ func (x *Executor) SnapshotState(e *snapshot.Encoder) {
 		non.U64(x.nonces[a])
 	}
 	e.U64("nonces_digest", non.Sum())
-}
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live executor.
-func (x *Executor) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(x, d)
 }

@@ -18,8 +18,8 @@ type Engine struct {
 	// Applied counts fault applications (clearing expiries included).
 	Applied int
 
-	tracer *obs.Tracer  //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
-	faults *obs.Counter //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	tracer *obs.Tracer
+	faults *obs.Counter
 }
 
 // Instrument attaches a lifecycle tracer (fault annotation events) and a
@@ -36,12 +36,6 @@ func (eng *Engine) Instrument(tr *obs.Tracer, reg *obs.Registry) {
 // checkpoint zero.
 func (eng *Engine) SnapshotState(e *snapshot.Encoder) {
 	e.U64("applied", uint64(eng.Applied))
-}
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live engine.
-func (eng *Engine) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(eng, d)
 }
 
 // Install schedules every event of the schedule on the scheduler. The

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"diablo/internal/bench"
 	"diablo/internal/obs"
@@ -31,34 +30,34 @@ type TxRecord struct {
 
 // Summary aggregates a run.
 type Summary struct {
-	Submitted       int     `json:"submitted"`
-	Committed       int     `json:"committed"`
-	Aborted         int     `json:"aborted"`
-	Pending         int     `json:"pending"`
-	Dropped         int     `json:"dropped"`
-	AvgLoadTPS      float64 `json:"avg_load_tps"`
-	ThroughputTPS   float64 `json:"throughput_tps"`
-	AvgLatencyS     float64 `json:"avg_latency_s"`
-	MedianLatencyS  float64 `json:"median_latency_s"`
-	P95LatencyS     float64 `json:"p95_latency_s"`
-	MaxLatencyS     float64 `json:"max_latency_s"`
-	CommitRatio     float64 `json:"commit_ratio"`
-	DurationS       float64 `json:"duration_s"`
-	Crashed         bool    `json:"crashed"`
-	DeployError     string  `json:"deploy_error,omitempty"`
-	Blocks          uint64  `json:"blocks"`
-	VirtualSeconds  float64 `json:"virtual_seconds"`
-	WallMillis      int64   `json:"wall_ms"`
-	ExecutedTxs     uint64  `json:"executed_txs"`
-	ReplayedTxs     uint64  `json:"replayed_txs"`
+	Submitted      int     `json:"submitted"`
+	Committed      int     `json:"committed"`
+	Aborted        int     `json:"aborted"`
+	Pending        int     `json:"pending"`
+	Dropped        int     `json:"dropped"`
+	AvgLoadTPS     float64 `json:"avg_load_tps"`
+	ThroughputTPS  float64 `json:"throughput_tps"`
+	AvgLatencyS    float64 `json:"avg_latency_s"`
+	MedianLatencyS float64 `json:"median_latency_s"`
+	P95LatencyS    float64 `json:"p95_latency_s"`
+	MaxLatencyS    float64 `json:"max_latency_s"`
+	CommitRatio    float64 `json:"commit_ratio"`
+	DurationS      float64 `json:"duration_s"`
+	Crashed        bool    `json:"crashed"`
+	DeployError    string  `json:"deploy_error,omitempty"`
+	Blocks         uint64  `json:"blocks"`
+	VirtualSeconds float64 `json:"virtual_seconds"`
+	WallMillis     int64   `json:"wall_ms"`
+	ExecutedTxs    uint64  `json:"executed_txs"`
+	ReplayedTxs    uint64  `json:"replayed_txs"`
 	// Retries, TimedOut and MsgsLost are emitted even when zero, like every
 	// other zero-meaningful counter, so chaos and non-chaos reports diff
 	// cleanly field by field.
-	Retries         uint64  `json:"retries"`
-	TimedOut        int     `json:"timed_out"`
-	MsgsLost        uint64  `json:"msgs_lost"`
-	SubmittedPerSec []int   `json:"submitted_per_sec"`
-	CommittedPerSec []int   `json:"committed_per_sec"`
+	Retries         uint64 `json:"retries"`
+	TimedOut        int    `json:"timed_out"`
+	MsgsLost        uint64 `json:"msgs_lost"`
+	SubmittedPerSec []int  `json:"submitted_per_sec"`
+	CommittedPerSec []int  `json:"committed_per_sec"`
 }
 
 // PexecSummary reports the parallel intra-block execution diagnostics
@@ -323,6 +322,3 @@ func (p *peekReader) Read(b []byte) (int, error) {
 	}
 	return p.r.Read(b)
 }
-
-// Elapsed formats a virtual duration for logs.
-func Elapsed(d time.Duration) string { return fmt.Sprintf("%.1fs", d.Seconds()) }

@@ -9,9 +9,3 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.Bool("stopped", e.stopped)
 	enc.Dur("period", e.period)
 }
-
-// RestoreState implements snapshot.Restorer by reconciling against the
-// fast-forwarded live engine.
-func (e *Engine) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(e, d)
-}

@@ -58,7 +58,7 @@ type Engine struct {
 	anyProposed  bool
 	votes        int
 	voted        []bool
-	timeoutEv    sim.EventID //lint:allow snapshotdrift event handle; pending-event identity is covered by the scheduler queue digest
+	timeoutEv    sim.EventID
 	curTimeout   time.Duration
 	roundSpan    uint64 //lint:allow snapshotdrift open consensus-round span id; observer wiring, not replay state
 

@@ -67,7 +67,7 @@ type Engine struct {
 	seq       uint64 // sequence currently being agreed on
 	states    map[uint64]*seqState
 	timeout   time.Duration
-	timeoutEv sim.EventID //lint:allow snapshotdrift event handle; pending-event identity is covered by the scheduler queue digest
+	timeoutEv sim.EventID
 
 	// Rounds counts proposer rounds; RoundChanges counts timeouts.
 	Rounds       uint64

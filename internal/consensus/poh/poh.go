@@ -28,7 +28,7 @@ type Engine struct {
 	net     *chain.Network
 	stopped bool
 	slot    uint64
-	ticker  sim.EventID //lint:allow snapshotdrift event handle; pending-event identity is covered by the scheduler queue digest
+	ticker  sim.EventID
 
 	// Slots counts produced slots; SkippedSlots counts slots where the
 	// overloaded leader could not assemble in time.

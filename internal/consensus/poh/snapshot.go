@@ -10,9 +10,3 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.U64("slots_done", e.Slots)
 	enc.U64("skipped", e.SkippedSlots)
 }
-
-// RestoreState implements snapshot.Restorer by reconciling against the
-// fast-forwarded live engine.
-func (e *Engine) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(e, d)
-}

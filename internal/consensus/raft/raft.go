@@ -74,8 +74,8 @@ type Engine struct {
 	// delivered[height] tracks which nodes have learned the commit.
 	delivered map[uint64][]bool
 
-	electionEv sim.EventID //lint:allow snapshotdrift event handle; pending-event identity is covered by the scheduler queue digest
-	produceEv  sim.EventID //lint:allow snapshotdrift event handle; pending-event identity is covered by the scheduler queue digest
+	electionEv sim.EventID
+	produceEv  sim.EventID
 
 	// Elections counts leader elections (1 in a crash-free run).
 	Elections uint64

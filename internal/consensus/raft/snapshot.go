@@ -49,9 +49,3 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	}
 	enc.U64("delivery_digest", dh.Sum())
 }
-
-// RestoreState implements snapshot.Restorer by reconciling against the
-// fast-forwarded live engine.
-func (e *Engine) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(e, d)
-}

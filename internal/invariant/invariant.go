@@ -97,8 +97,8 @@ type Monitor struct {
 	// resumed run must replay the exact observation sequence.
 	admitSeq, includeSeq, commitSeq uint64
 
-	tracer  *obs.Tracer  //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
-	counter *obs.Counter //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	tracer  *obs.Tracer
+	counter *obs.Counter
 }
 
 // NewMonitor returns a monitor with the given eventual-inclusion horizon
@@ -324,12 +324,6 @@ func (m *Monitor) SnapshotState(e *snapshot.Encoder) {
 		vh.Str(v.Detail)
 	}
 	e.U64("violation_digest", vh.Sum())
-}
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live monitor.
-func (m *Monitor) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(m, d)
 }
 
 // sortedHashKeys returns the map's keys in byte order, so digest and

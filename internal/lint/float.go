@@ -21,7 +21,7 @@ import (
 // Roots are the functions of deterministic packages that directly feed a
 // sink — scheduling events on a sim.Scheduler, or writing to the snapshot
 // codec (Encoder/Decoder/Hash/Reconcile, which covers every SnapshotState
-// and RestoreState method). The taint floods forward along static call
+// method and the resume check that re-runs it). The taint floods forward along static call
 // edges: a helper two hops below a digest writer is as dangerous as the
 // writer itself. Reports are confined to deterministic packages; the
 // flood under-approximates (no edges through function values or interface

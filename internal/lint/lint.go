@@ -90,7 +90,6 @@ var analyzers = []*analyzer{
 	{name: "globalrand", doc: "global math/rand state in deterministic packages", run: runGlobalRand},
 	{name: "maprange", doc: "map iteration order leaking into ordered output", run: runMapRange},
 	{name: "concurrency", doc: "goroutines, channels or sync in deterministic packages", run: runConcurrency},
-	{name: "snapshotpair", doc: "SnapshotState without a mirrored RestoreState", run: runSnapshotPair},
 	{name: "float", doc: "floating-point arithmetic on digest/snapshot/ordering paths", run: runFloat},
 	{name: "snapshotdrift", doc: "mutable fields never read by SnapshotState", run: runSnapshotDrift},
 	{name: "observerpure", doc: "observer-only code writing simulation state", run: runObserverPure},

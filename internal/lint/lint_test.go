@@ -158,12 +158,6 @@ func TestConcurrencyFixture(t *testing.T) {
 	checkFixture(t, []string{"concurrency"}, nil)
 }
 
-func TestSnapshotPairFixture(t *testing.T) {
-	// snapshotpair does not depend on the deterministic set; run with the
-	// module defaults to prove that.
-	checkFixture(t, []string{"snapshotpair"}, []string{})
-}
-
 // TestMapRangeFlagsSubmissionWindowBug pins the acceptance criterion
 // directly: the reintroduced PR 4 bug shape — scheduling submission
 // windows by ranging over a map — is flagged with check maprange at the

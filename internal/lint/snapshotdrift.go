@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/types"
+	"strings"
 )
 
 // runSnapshotDrift closes the hole Reconcile cannot see: a struct field
@@ -18,12 +19,12 @@ import (
 // calls, reads it — capture helpers, Stats()-style accessors, and digest
 // loops all count. "Mutable" is any field stored to outside the type's
 // constructors (package functions returning the type) and outside the
-// SnapshotState/RestoreState pair itself; a field only ever assigned at
-// construction is configuration, not state, and is skipped. Function- and
-// channel-typed fields are wiring that no codec could encode and are
-// likewise skipped. Deliberately unencoded fields — caches, observer
-// plumbing, free lists — carry a //lint:allow snapshotdrift <reason> on
-// their declaration line, turning each omission into an audited decision.
+// SnapshotState method itself; a field only ever assigned at construction
+// is configuration, not state, and is skipped. Wiring fields are likewise
+// skipped by type (see wiringField). Other deliberately unencoded fields —
+// caches, reporting counters, free lists — carry a //lint:allow
+// snapshotdrift <reason> on their declaration line, turning each omission
+// into an audited decision.
 func runSnapshotDrift(p *pass) []Finding {
 	snapPath := p.mod.Path + "/internal/snapshot"
 	sums := p.summaries()
@@ -61,7 +62,7 @@ func runSnapshotDrift(p *pass) []Finding {
 	var out []Finding
 	for _, pkg := range p.pkgs {
 		if pkg.Path == snapPath {
-			continue // the protocol package itself is exempt, as in snapshotpair
+			continue // the protocol package itself is exempt
 		}
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -108,7 +109,7 @@ func runSnapshotDrift(p *pass) []Finding {
 
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
-				if covered[f.Name()] || unencodableField(f.Type()) {
+				if covered[f.Name()] || wiringField(f.Type(), p.mod.Path) {
 					continue
 				}
 				w, mutable := writeAt[FieldKey{Pkg: pkg.Path, Type: tn.Name(), Field: f.Name()}]
@@ -128,11 +129,18 @@ func runSnapshotDrift(p *pass) []Finding {
 	return out
 }
 
-// unencodableField reports field types that are wiring rather than state:
-// functions and channels cannot round-trip through any codec.
-func unencodableField(t types.Type) bool {
+// wiringField reports field types that are wiring rather than state:
+// functions and channels no codec can encode, a sim.EventID (the
+// scheduler's queue digest covers pending events), and the observer
+// handles whose purity observerpure enforces. Module types match by exact
+// identity, so a look-alike declared elsewhere is still state.
+func wiringField(t types.Type, mod string) bool {
 	switch t.Underlying().(type) {
 	case *types.Signature, *types.Chan:
+		return true
+	}
+	switch types.TypeString(t, func(p *types.Package) string { return strings.TrimPrefix(p.Path(), mod+"/internal/") }) {
+	case "sim.EventID", "*obs.Tracer", "*obs.Counter", "*span.Recorder":
 		return true
 	}
 	return false
@@ -160,11 +168,11 @@ func isConstructorOf(fn *types.Func, key FieldKey) bool {
 	return false
 }
 
-// isProtocolMethod reports whether fn is the SnapshotState/RestoreState
-// pair of the key's own type: restore-side stores mirror the capture and
-// do not make a field "mutable state" by themselves.
+// isProtocolMethod reports whether fn is the SnapshotState method of the
+// key's own type: stores made while capturing do not make a field
+// "mutable state" by themselves.
 func isProtocolMethod(fn *types.Func, key FieldKey) bool {
-	if fn.Name() != "SnapshotState" && fn.Name() != "RestoreState" {
+	if fn.Name() != "SnapshotState" {
 		return false
 	}
 	named := recvNamed(fn)

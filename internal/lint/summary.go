@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 )
 
 // The interprocedural layer: one summary per declared function, computed
@@ -75,9 +74,6 @@ type FuncSummary struct {
 	// Reads lists every field selection, read or write side; snapshotdrift
 	// uses it to decide which fields a capture path covers.
 	Reads []FieldKey
-	// Labels collects string-literal first arguments of Encoder/Decoder
-	// method calls — the encoded field labels.
-	Labels []string
 }
 
 // Summaries indexes every declared function of the analyzed packages.
@@ -181,13 +177,6 @@ func summarizeCall(sum *FuncSummary, pkg *Package, call *ast.CallExpr, modulePkg
 			sum.Schedules = append(sum.Schedules, Site{Pos: call.Pos(), What: "Scheduler." + callee.Name()})
 		case recvPkg == snapPath && snapCodecType(named.Obj().Name()):
 			sum.Digests = append(sum.Digests, Site{Pos: call.Pos(), What: "snapshot." + named.Obj().Name() + "." + callee.Name()})
-			if named.Obj().Name() != "Hash" && len(call.Args) > 0 {
-				if lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok {
-					if label, err := strconv.Unquote(lit.Value); err == nil {
-						sum.Labels = append(sum.Labels, label)
-					}
-				}
-			}
 		}
 	}
 	if modulePkgs[path] {

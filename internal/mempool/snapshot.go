@@ -19,9 +19,3 @@ func (p *Pool) SnapshotState(e *snapshot.Encoder) {
 	}
 	e.U64("entries_digest", h.Sum())
 }
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live pool.
-func (p *Pool) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(p, d)
-}

@@ -70,10 +70,10 @@ type Trace struct {
 	Interval    time.Duration
 	MetricNames []string
 
-	Events int
-	Spans  map[string]*TxSpan
-	Order  []string // tx ids in first-seen order
-	Blocks map[uint64]*BlockInfo
+	Events  int
+	Spans   map[string]*TxSpan
+	Order   []string // tx ids in first-seen order
+	Blocks  map[uint64]*BlockInfo
 	Samples []Sample
 	Faults  []FaultNote
 	// Pexec is nil unless the trace carries parallel-execution events.

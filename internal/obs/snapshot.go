@@ -27,9 +27,3 @@ func (r *Registry) SnapshotState(e *snapshot.Encoder) {
 	}
 	e.U64("values_digest", h.Sum())
 }
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live registry.
-func (r *Registry) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(r, d)
-}

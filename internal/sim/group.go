@@ -42,10 +42,12 @@ type group struct {
 // changes what the heap holds and nothing a caller can observe. Groups
 // nest: the outermost EndGroup queues everything scheduled since the
 // outermost BeginGroup. The event loop must not run while a group is open.
+//
 //perf:noalloc
 func (s *Scheduler) BeginGroup() { s.groups.depth++ }
 
 // EndGroup closes the group opened by the matching BeginGroup.
+//
 //perf:noalloc
 func (s *Scheduler) EndGroup() {
 	g := &s.groups
@@ -88,6 +90,7 @@ const (
 // that order: it sorts packed integer keys, the position last so equal
 // times keep their order, and skips the sort when arrivals already rise. A
 // group too large or spread too wide to pack takes a comparison sort.
+//
 //perf:noalloc
 func (s *Scheduler) sortOpen(buf []int32) []int32 {
 	g := &s.groups
@@ -125,6 +128,7 @@ func sortByAt(slab []event, members []int32) {
 }
 
 // slot returns a free group slot.
+//
 //perf:noalloc
 func (g *groups) slot() int32 {
 	if n := len(g.free); n > 0 {
@@ -140,6 +144,7 @@ func (g *groups) slot() int32 {
 }
 
 // takeBuf returns an empty member buffer, a recycled one when there is one.
+//
 //perf:noalloc
 func (g *groups) takeBuf() []int32 {
 	n := len(g.bufs)
@@ -152,6 +157,7 @@ func (g *groups) takeBuf() []int32 {
 }
 
 // drop retires a drained group and recycles its slot and member buffer.
+//
 //perf:noalloc
 func (g *groups) drop(slot int32) {
 	gr := &g.slots[slot]
@@ -163,6 +169,7 @@ func (g *groups) drop(slot int32) {
 // pop removes the earliest pending event from the queue and returns its
 // slab slot. The heap entry of a group is re-keyed by the group's next
 // member instead of removed, until the group drains.
+//
 //perf:noalloc
 func (s *Scheduler) pop() int32 {
 	idx := s.heap[0]
@@ -182,6 +189,7 @@ func (s *Scheduler) pop() int32 {
 
 // sweep appends the live slots of src to dst, which may share src's
 // backing array, and releases the dead ones.
+//
 //perf:noalloc
 func (s *Scheduler) sweep(dst, src []int32) []int32 {
 	for _, idx := range src {

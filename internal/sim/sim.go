@@ -119,6 +119,7 @@ type EventID struct {
 // already-cancelled event is a no-op. The event's callback is released
 // immediately; the queue slot itself is reclaimed lazily (on pop, or by
 // compaction when dead events pile up).
+//
 //perf:noalloc
 func (id EventID) Cancel() {
 	s := id.s
@@ -224,6 +225,7 @@ func (s *Scheduler) Stats() HeapStats {
 
 // alloc returns a free slab slot, growing the slab when the free list is
 // empty.
+//
 //perf:noalloc
 func (s *Scheduler) alloc() int32 {
 	if n := len(s.free); n > 0 {
@@ -237,6 +239,7 @@ func (s *Scheduler) alloc() int32 {
 
 // release recycles a slot: the next incarnation gets a new generation so
 // stale EventIDs become no-ops.
+//
 //perf:noalloc
 func (s *Scheduler) release(idx int32) {
 	ev := &s.slab[idx]
@@ -389,6 +392,7 @@ func (t *Ticker) Stop() {
 }
 
 // less orders heap entries by (timestamp, insertion sequence).
+//
 //perf:noalloc
 func (s *Scheduler) less(a, b int32) bool {
 	ea, eb := &s.slab[a], &s.slab[b]
@@ -399,6 +403,7 @@ func (s *Scheduler) less(a, b int32) bool {
 }
 
 // heapPush inserts a slab index into the 4-ary heap.
+//
 //perf:noalloc
 func (s *Scheduler) heapPush(idx int32) {
 	s.heap = append(s.heap, idx)
@@ -446,6 +451,7 @@ func (s *Scheduler) siftDown(i int) {
 }
 
 // heapPop removes and returns the earliest entry.
+//
 //perf:noalloc
 func (s *Scheduler) heapPop() int32 {
 	h := s.heap
@@ -463,6 +469,7 @@ func (s *Scheduler) heapPop() int32 {
 // members and the open group alike — in one O(n) pass and rebuilds heap
 // order, bounding the queue by the live event count even under
 // cancel-heavy workloads (retry timers rescheduled on every delivery).
+//
 //perf:noalloc
 func (s *Scheduler) compact() {
 	n := 0
@@ -498,6 +505,7 @@ func (s *Scheduler) compact() {
 
 // Step runs the single earliest pending event. It returns false when no
 // events remain or the scheduler has been halted.
+//
 //perf:noalloc
 func (s *Scheduler) Step() bool {
 	for len(s.heap) > 0 && !s.halted {

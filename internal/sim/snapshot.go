@@ -98,9 +98,3 @@ func (s *Scheduler) SnapshotState(e *snapshot.Encoder) {
 	}
 	e.U64("queue_digest", h.Sum())
 }
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live scheduler.
-func (s *Scheduler) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(s, d)
-}

@@ -89,7 +89,7 @@ func TestSchedulerSnapshotReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreState(dec); err != nil {
+	if err := snapshot.Reconcile(b, dec); err != nil {
 		t.Fatalf("identical schedulers did not reconcile: %v", err)
 	}
 
@@ -102,7 +102,7 @@ func TestSchedulerSnapshotReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RestoreState(dec2); err == nil {
+	if err := snapshot.Reconcile(a, dec2); err == nil {
 		t.Fatal("diverged RNG position reconciled cleanly")
 	}
 }
@@ -128,7 +128,7 @@ func TestQueueDigestDistinguishesKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = b.RestoreState(dec)
+	err = snapshot.Reconcile(b, dec)
 	if err == nil {
 		t.Fatal("queues with different event kinds at the same (at, seq) reconciled cleanly")
 	}
@@ -144,7 +144,7 @@ func TestQueueDigestDistinguishesKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestoreState(dec2); err != nil {
+	if err := snapshot.Reconcile(c, dec2); err != nil {
 		t.Fatalf("identical tagged queues did not reconcile: %v", err)
 	}
 }

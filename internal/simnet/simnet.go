@@ -125,6 +125,7 @@ type envelope struct {
 }
 
 // Run delivers the message (sim.Callback).
+//
 //perf:noalloc
 func (e *envelope) Run() {
 	n, dst, msg := e.net, e.dst, e.msg
@@ -180,7 +181,7 @@ type Network struct {
 	// spans, when non-nil, labels each delivery event (destination node)
 	// for causal span tracing. Nil-receiver hints make the disabled path
 	// free.
-	spans *span.Recorder //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
+	spans *span.Recorder
 
 	// Delivered counts messages delivered; BytesSent counts payload bytes;
 	// Lost counts messages dropped by link faults (not crashes/partitions).
@@ -230,9 +231,6 @@ func (n *Network) Node(id NodeID) *Node {
 
 // Len returns the number of nodes.
 func (n *Network) Len() int { return len(n.nodes) }
-
-// Nodes returns all nodes in ID order.
-func (n *Network) Nodes() []*Node { return n.nodes }
 
 // SetExtraDelay injects a fixed additional delay on every message.
 func (n *Network) SetExtraDelay(d time.Duration) { n.extraDelay = d }
@@ -298,6 +296,7 @@ func (n *Network) ClearLinkFaults() {
 
 // linkFaultFor returns the active fault on the (a, b) regions' link, or
 // nil when the link is healthy.
+//
 //perf:noalloc
 func (n *Network) linkFaultFor(a, b Region) *LinkFault {
 	if f := n.linkFaults[pairKey(a, b)]; f.active() {
@@ -325,6 +324,7 @@ func (n *Network) SetNodeSlowdown(id NodeID, factor float64) {
 }
 
 // slowFactor returns the delay multiplier for a message between two nodes.
+//
 //perf:noalloc
 func (n *Network) slowFactor(from, to NodeID) float64 {
 	f := 1.0
@@ -355,6 +355,7 @@ func (n *Network) transmission(from, to NodeID, size int) time.Duration {
 }
 
 // allocEnvelope pops a recycled envelope or makes a fresh one.
+//
 //perf:noalloc
 func (n *Network) allocEnvelope() *envelope {
 	if e := n.envFree; e != nil {
@@ -376,6 +377,7 @@ func (n *Network) allocEnvelope() *envelope {
 // or from crashed nodes, across a partition, or losing the per-link loss
 // draw are silently dropped (the link time is still consumed for outgoing
 // traffic, as a real NIC would).
+//
 //perf:noalloc
 func (n *Network) Send(from, to NodeID, size int, payload any) {
 	src, dst := n.Node(from), n.Node(to)
@@ -493,6 +495,7 @@ func (ls *LinkStats) Lines() []LinkLine {
 
 // Broadcast sends the payload from one node to every other node, its
 // deliveries queued as one multicast group (see sim.Scheduler.BeginGroup).
+//
 //perf:noalloc
 func (n *Network) Broadcast(from NodeID, size int, payload any) {
 	n.Sched.BeginGroup()

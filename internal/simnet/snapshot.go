@@ -88,9 +88,3 @@ func (n *Network) SnapshotState(e *snapshot.Encoder) {
 	}
 	e.U64("busy_digest", busy.Sum())
 }
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live network.
-func (n *Network) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(n, d)
-}

@@ -290,7 +290,7 @@ func DecodePayload(b []byte) ([]Field, error) {
 	return fields, nil
 }
 
-// Decoder gives RestoreState implementations access to a stored section.
+// Decoder gives Reconcile and Meta decoding access to a stored section.
 type Decoder struct {
 	fields []Field
 }

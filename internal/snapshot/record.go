@@ -13,16 +13,6 @@ type Stater interface {
 	SnapshotState(*Encoder)
 }
 
-// Restorer is optionally implemented alongside Stater. On resume the run
-// is deterministically fast-forwarded to the checkpoint's virtual time and
-// RestoreState is called with the stored section; the subsystem reconciles
-// the stored state against its live state and returns an error naming the
-// first divergent field. (Pending scheduler events are closures, so state
-// cannot be injected — it is rebuilt by re-execution and then proven.)
-type Restorer interface {
-	RestoreState(*Decoder) error
-}
-
 // StateFunc adapts a capture function to Stater.
 type StateFunc func(*Encoder)
 
@@ -31,7 +21,9 @@ func (f StateFunc) SnapshotState(e *Encoder) { f(e) }
 
 // Reconcile re-captures the subsystem's live state and compares it
 // field-by-field against the stored section, reporting the first
-// divergence. Subsystems implement RestoreState as a one-liner around it.
+// divergence. It is the only resume rule: pending events are closures, so
+// state cannot be injected; a resumed run is re-executed to the
+// checkpoint's virtual time and every registered Stater is proven there.
 func Reconcile(st Stater, dec *Decoder) error {
 	e := NewEncoder()
 	st.SnapshotState(e)
@@ -207,13 +199,7 @@ func (r *Recorder) Verify(f *File) error {
 		if err != nil {
 			return fmt.Errorf("section %q: %w", sec.Name, err)
 		}
-		st := r.staters[idx]
-		if rst, ok := st.(Restorer); ok {
-			err = rst.RestoreState(dec)
-		} else {
-			err = Reconcile(st, dec)
-		}
-		if err != nil {
+		if err := Reconcile(r.staters[idx], dec); err != nil {
 			return fmt.Errorf("resume verification failed in %q at %s: %w", sec.Name, f.Meta.VTime, err)
 		}
 	}

@@ -30,9 +30,3 @@ func (r *Recorder) SnapshotState(e *snapshot.Encoder) {
 	}
 	e.U64("conflict_digest", h.Sum())
 }
-
-// RestoreState implements snapshot.Restorer by reconciling the stored
-// section against the fast-forwarded live recorder.
-func (r *Recorder) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(r, d)
-}

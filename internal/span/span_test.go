@@ -299,7 +299,7 @@ func TestSnapshotReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreState(dec); err != nil {
+	if err := snapshot.Reconcile(b, dec); err != nil {
 		t.Fatalf("identical recorders did not reconcile: %v", err)
 	}
 	c := drive(true)
@@ -309,7 +309,7 @@ func TestSnapshotReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RestoreState(dec2); err == nil {
+	if err := snapshot.Reconcile(a, dec2); err == nil {
 		t.Fatal("diverged conflict tables reconciled cleanly")
 	}
 }

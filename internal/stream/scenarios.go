@@ -188,11 +188,6 @@ func (s *FlashMint) SnapshotState(e *snapshot.Encoder) {
 	e.F64("rate", s.rate)
 }
 
-// RestoreState implements Source.
-func (s *FlashMint) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(s, d)
-}
-
 // DEXArb is a population of arbitrage bots hammering one shared DEX pool
 // at a constant aggregate rate. Every swap touches the same two reserve
 // cells, so the scenario is a worst case for intra-block parallel
@@ -241,11 +236,6 @@ func (s *DEXArb) SnapshotState(e *snapshot.Encoder) {
 	s.g.snapshotCursor(e)
 	e.F64("rate", s.rate)
 	e.U64("amount_max", s.amountMax)
-}
-
-// RestoreState implements Source.
-func (s *DEXArb) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(s, d)
 }
 
 // Diurnal is a multi-day load curve of native transfers: the rate follows
@@ -303,9 +293,4 @@ func (s *Diurnal) SnapshotState(e *snapshot.Encoder) {
 	e.F64("base", s.base)
 	e.F64("peak", s.peak)
 	e.Dur("day", s.day)
-}
-
-// RestoreState implements Source.
-func (s *Diurnal) RestoreState(d *snapshot.Decoder) error {
-	return snapshot.Reconcile(s, d)
 }

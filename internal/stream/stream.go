@@ -14,7 +14,7 @@
 // client exactly once and the per-client nonce is simply the completed
 // round count — strict nonce sequencing without a nonce table.
 //
-// Sources snapshot their full cursor (SnapshotState/RestoreState), so
+// Sources snapshot their full cursor (SnapshotState), so
 // checkpoint/resume over a streaming run stays byte-identical.
 package stream
 
@@ -82,10 +82,9 @@ type Source interface {
 	Duration() time.Duration
 	// Next fills it with the next intent and reports whether one exists.
 	Next(it *Intent) bool
-	// SnapshotState encodes the full generator cursor; RestoreState
-	// reconciles it on resume (see internal/snapshot).
+	// SnapshotState encodes the full generator cursor; a resumed run
+	// re-captures and reconciles it (see internal/snapshot).
 	SnapshotState(e *snapshot.Encoder)
-	RestoreState(d *snapshot.Decoder) error
 }
 
 // gen is the shared generator skeleton: per-second rate planning, even

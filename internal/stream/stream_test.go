@@ -198,7 +198,7 @@ func TestSnapshotReconcile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.RestoreState(dec); err != nil {
+		if err := snapshot.Reconcile(b, dec); err != nil {
 			t.Fatalf("%s: reconcile failed: %v", cfg.Scenario, err)
 		}
 
@@ -208,7 +208,7 @@ func TestSnapshotReconcile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.RestoreState(dec); err == nil {
+		if err := snapshot.Reconcile(b, dec); err == nil {
 			t.Fatalf("%s: reconcile accepted a diverged cursor", cfg.Scenario)
 		}
 	}

@@ -72,9 +72,6 @@ func (a *Assembler) Log(nargs int) *Assembler {
 	return a
 }
 
-// PC returns the current code offset.
-func (a *Assembler) PC() int { return len(a.code) }
-
 // Build resolves labels and returns the bytecode.
 func (a *Assembler) Build() ([]byte, error) {
 	out := append([]byte(nil), a.code...)
