@@ -49,14 +49,16 @@ test-short:
 
 # Race-detector pass: the parallel sweep runner (bench, core, report) and the
 # parallel block executor (chains, pexec) with the two interpreters whose
-# decoded programs its lanes share, plus the sim-time packages they drive.
+# decoded programs its lanes share, plus the sim-time packages they drive;
+# and the TCP Primary/Secondary path (remote, whose goroutines share
+# sockets) with the wallet its Secondaries sign through.
 race:
 	$(GO) test -race ./internal/sim ./internal/chaos ./internal/simnet \
 		./internal/chains/... ./internal/bench ./internal/core \
 		./internal/obs ./internal/collect ./internal/snapshot \
 		./internal/report ./internal/adversary ./internal/invariant \
 		./internal/pexec ./internal/span ./internal/stream \
-		./internal/vm ./internal/avm
+		./internal/vm ./internal/avm ./internal/remote ./internal/wallet
 
 # One Go benchmark per table/figure, reduced scale.
 bench-exhibits:

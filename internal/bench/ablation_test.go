@@ -87,34 +87,6 @@ func BenchmarkAblationGasCache(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSignatureScheme compares real Ed25519 signing against
-// the fast keyed-hash scheme across a whole experiment (the scheme choice
-// exists purely to keep million-transaction runs affordable).
-func BenchmarkAblationSignatureScheme(b *testing.B) {
-	for _, scheme := range []string{"ed25519", "fasthash"} {
-		b.Run(scheme, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := Run(Experiment{
-					Chain:      "quorum",
-					Config:     configs.Devnet,
-					Traces:     []*workloads.Trace{workloads.NativeConstant(500, 20*time.Second)},
-					Seed:       int64(i + 1),
-					Tail:       30 * time.Second,
-					Scheme:     scheme,
-					ScaleNodes: 2,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Summary.Committed == 0 {
-					b.Fatal("nothing committed")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationConsensusMessageComplexity contrasts IBFT's O(n²)
 // voting against HotStuff's linear votes and BA*'s constant committees as
 // the network grows, measuring simulated messages per committed block.

@@ -43,9 +43,6 @@ type Experiment struct {
 	Seed int64
 	// Tail extends observation beyond the last submission (default 120s).
 	Tail time.Duration
-	// Scheme names the signature scheme ("fasthash" default; "ed25519"
-	// for full-fidelity signing at small scales).
-	Scheme string
 	// CacheAfter configures the executor's gas cache (full interpretation
 	// for the first N calls per contract function, replay afterwards);
 	// 0 uses the default of 16, negative disables caching entirely.
@@ -243,14 +240,6 @@ func Run(e Experiment) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	schemeName := e.Scheme
-	if schemeName == "" {
-		schemeName = "fasthash"
-	}
-	scheme, err := wallet.SchemeByName(schemeName)
-	if err != nil {
-		return nil, err
-	}
 
 	cfg := e.Config
 	if e.ScaleNodes > 1 {
@@ -356,7 +345,7 @@ func Run(e Experiment) (*Outcome, error) {
 	net.Exec.Workers = e.ExecWorkers
 
 	accounts := cfg.AccountsFor(e.Chain)
-	w := wallet.New(scheme, fmt.Sprintf("%s-%s-%d", e.Chain, cfg.Name, e.Seed), accounts)
+	w := wallet.New(wallet.FastScheme{}, fmt.Sprintf("%s-%s-%d", e.Chain, cfg.Name, e.Seed), accounts)
 	adapter := core.NewSimAdapter(net, w)
 
 	placement, err := ResolvePlacement(net, e.Locations)

@@ -43,12 +43,6 @@ func TestRunValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("unknown chain accepted")
 	}
-	if _, err := Run(Experiment{
-		Chain: "quorum", Config: configs.Devnet, Scheme: "rsa4096",
-		Traces: []*workloads.Trace{workloads.NativeConstant(1, time.Second)},
-	}); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
 }
 
 func TestRunDeterministicAcrossSeeds(t *testing.T) {

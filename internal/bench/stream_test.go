@@ -131,7 +131,7 @@ func TestStreamResumeReconciles(t *testing.T) {
 
 // Budgets of the million-client generation pass. A wallet materialising the
 // population alone would need hundreds of MB; the lazy pipeline's heap must
-// not grow with it, and account derivation plus signing is a constant
+// not grow with it, and account derivation plus sealing is a constant
 // number of allocations per transaction.
 const (
 	streamHeapBudgetMB = 128
@@ -139,8 +139,8 @@ const (
 )
 
 // streamPass is one full generation run: every implicit client of the
-// flash-crowd scenario mints once, signed through the lazy wallet. It
-// returns the digest over (client, nonce, signature), the transaction
+// flash-crowd scenario mints once, sealed through the lazy wallet. It
+// returns the digest over (client, nonce, transaction ID), the transaction
 // count, the allocations per transaction and the peak heap (sampled every
 // 64Ki transactions).
 func streamPass(t *testing.T, clients int) (digest uint64, txs int, allocsPerTx, peakHeapMB float64) {
@@ -171,7 +171,8 @@ func streamPass(t *testing.T, clients int) (digest uint64, txs int, allocsPerTx,
 		lazy.Account(it.Client).Sign(&tx)
 		h.U64(it.Client)
 		h.U64(it.Nonce)
-		h.Bytes(tx.Sig)
+		id := tx.ID()
+		h.Bytes(id[:])
 		txs++
 		if txs&0xFFFF == 0 {
 			runtime.ReadMemStats(&ms)
@@ -185,10 +186,10 @@ func streamPass(t *testing.T, clients int) (digest uint64, txs int, allocsPerTx,
 
 // TestMillionClientStreamBudgets streams a million implicit clients through
 // the lazy wallet twice: peak heap and allocations per transaction stay
-// inside constant budgets, and both passes sign the same transactions.
+// inside constant budgets, and both passes seal the same transactions.
 func TestMillionClientStreamBudgets(t *testing.T) {
 	if testing.Short() {
-		t.Skip("streams a million signed transactions twice")
+		t.Skip("streams a million sealed transactions twice")
 	}
 	const clients = 1_000_000
 	digest, txs, allocs, peakMB := streamPass(t, clients)

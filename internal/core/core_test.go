@@ -276,10 +276,11 @@ func TestEngineGafamMultiTrace(t *testing.T) {
 var _ = stats.Summary{} // keep stats import if assertions change
 
 // Allocation budget of the client path on a deployed 20-node Quorum: Encode
-// (calldata, transaction, signature), Trigger (the chain client's one
-// pending record) and the RPC event that carries the transaction into the
-// pool — five allocations per transaction with map and slice growth
-// amortised in, for provisioned senders and for implicit stream senders.
+// (calldata and transaction; sealing allocates nothing), Trigger (the chain
+// client's one pending record) and the RPC event that carries the
+// transaction into the pool — four allocations per transaction with map
+// and slice growth amortised in, for provisioned senders and for implicit
+// stream senders.
 func TestSubmitPathAllocationBudget(t *testing.T) {
 	const batch = 256
 	sched, _, a := newAdapter(t, "quorum", 20)
@@ -328,8 +329,8 @@ func TestSubmitPathAllocationBudget(t *testing.T) {
 			}
 			sched.RunFor(time.Millisecond) // the batch's RPC events
 		})
-		if perTx := perBatch / batch; perTx > 5 {
-			t.Errorf("%s senders: %.2f allocations per transaction, budget 5", tc.name, perTx)
+		if perTx := perBatch / batch; perTx > 4 {
+			t.Errorf("%s senders: %.2f allocations per transaction, budget 4", tc.name, perTx)
 		} else {
 			t.Logf("%s senders: %.2f allocations per transaction", tc.name, perTx)
 		}

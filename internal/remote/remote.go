@@ -60,7 +60,6 @@ type Message struct {
 	Chain       string            `json:"chain,omitempty"`
 	Benchmark   string            `json:"benchmark,omitempty"` // workload YAML
 	Namespace   string            `json:"namespace,omitempty"`
-	Scheme      string            `json:"scheme,omitempty"`
 	Contracts   map[string]string `json:"contracts,omitempty"` // dapp -> hex address
 	GasLimit    uint64            `json:"gas_limit,omitempty"`
 	AccountsPer int               `json:"accounts_per,omitempty"`
@@ -78,19 +77,40 @@ type Message struct {
 	Error string `json:"error,omitempty"`
 }
 
-// WireTx is one pre-signed transaction with its submission schedule.
+// WireTx is one pre-signed transaction with its submission schedule. Sig
+// is a real wallet.FastScheme signature over the signing bytes.
 type WireTx struct {
-	Global int    `json:"global"`
-	AtNs   int64  `json:"at_ns"`
-	Kind   uint8  `json:"kind"`
-	From   []byte `json:"from"`
-	To     []byte `json:"to"`
-	Nonce  uint64 `json:"nonce"`
-	Value  uint64 `json:"value"`
-	Gas    uint64 `json:"gas"`
-	Data   []byte `json:"data,omitempty"`
-	Sig    []byte `json:"sig"`
-	PubKey []byte `json:"pubkey"`
+	Global   int    `json:"global"`
+	AtNs     int64  `json:"at_ns"`
+	Kind     uint8  `json:"kind"`
+	From     []byte `json:"from"`
+	To       []byte `json:"to"`
+	Nonce    uint64 `json:"nonce"`
+	Value    uint64 `json:"value"`
+	Gas      uint64 `json:"gas"`
+	GasPrice uint64 `json:"gas_price"`
+	Data     []byte `json:"data,omitempty"`
+	Sig      []byte `json:"sig"`
+	PubKey   []byte `json:"pubkey"`
+}
+
+// newWireTx wraps a transaction for upload with its global index, its
+// submission time and its wire signature.
+func newWireTx(tx *types.Transaction, global int, at time.Duration, sig []byte) *WireTx {
+	return &WireTx{
+		Global:   global,
+		AtNs:     int64(at),
+		Kind:     uint8(tx.Kind),
+		From:     tx.From[:],
+		To:       tx.To[:],
+		Nonce:    tx.Nonce,
+		Value:    tx.Value,
+		Gas:      tx.GasLimit,
+		GasPrice: tx.GasPrice,
+		Data:     tx.Data,
+		Sig:      sig,
+		PubKey:   tx.PubKey,
+	}
 }
 
 // WireResult is the per-transaction outcome returned to its Secondary.
@@ -297,7 +317,6 @@ func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
 			Chain:       cfg.Setup.Chain,
 			Benchmark:   "", // spec travels pre-parsed via the schedule below
 			Namespace:   fmt.Sprintf("remote-%s-%d", cfg.Setup.Chain, cfg.Setup.Seed),
-			Scheme:      "fasthash",
 			Contracts:   contracts,
 			GasLimit:    params.DefaultGasLimit,
 			AccountsPer: perSecondary,
@@ -334,12 +353,16 @@ func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
 				Nonce:    wt.Nonce,
 				Value:    wt.Value,
 				GasLimit: wt.Gas,
+				GasPrice: wt.GasPrice,
 				Data:     wt.Data,
 				Sig:      wt.Sig,
 				PubKey:   wt.PubKey,
 			}
 			copy(tx.From[:], wt.From)
 			copy(tx.To[:], wt.To)
+			if err := wallet.VerifyTx(wallet.FastScheme{}, tx); err != nil {
+				return nil, fmt.Errorf("remote: secondary %d: transaction %d: %w", i, wt.Global, err)
+			}
 			all = append(all, scheduled{tx: tx, at: time.Duration(wt.AtNs), global: wt.Global, sec: i})
 		}
 		cfg.logf("secondary %d uploaded its share (%d transactions so far)", i, len(all))
@@ -492,12 +515,8 @@ func RunSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	scheme, err := wallet.SchemeByName(assign.Scheme)
-	if err != nil {
-		return nil, err
-	}
 	// Disjoint account shares: each Secondary derives its own namespace.
-	w := wallet.New(scheme, fmt.Sprintf("%s/%d", assign.Namespace, assign.Secondary), assign.AccountsPer)
+	w := wallet.New(wallet.FastScheme{}, fmt.Sprintf("%s/%d", assign.Namespace, assign.Secondary), assign.AccountsPer)
 	rng := rand.New(rand.NewSource(int64(assign.Secondary) + 42))
 
 	// Pre-sign and stream this Secondary's share: every transaction whose
@@ -562,19 +581,7 @@ func RunSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
 				}
 			}
 			acct.SignNext(tx)
-			wt := &WireTx{
-				Global: global,
-				AtNs:   int64(at),
-				Kind:   uint8(tx.Kind),
-				From:   tx.From[:],
-				To:     tx.To[:],
-				Nonce:  tx.Nonce,
-				Value:  tx.Value,
-				Gas:    tx.GasLimit,
-				Data:   tx.Data,
-				Sig:    tx.Sig,
-				PubKey: tx.PubKey,
-			}
+			wt := newWireTx(tx, global, at, acct.WireSig(tx))
 			if err := cc.send(&Message{Type: "tx", Tx: wt}); err != nil {
 				sendErr = err
 				return

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"diablo/internal/spec"
+	"diablo/internal/types"
+	"diablo/internal/wallet"
 )
 
 const benchYAML = `
@@ -54,12 +56,13 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// runDistributed spins up a primary and n secondaries over localhost TCP.
+// runDistributed spins up a primary and n secondaries over localhost TCP
+// on the named chain.
 // The secondaries start first, so their dials may be refused until the
 // primary listens.
-func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryResult, []*SecondaryStats) {
+func runDistributed(t *testing.T, chainName, benchSrc string, secondaries int) (*PrimaryResult, []*SecondaryStats) {
 	t.Helper()
-	setup, err := spec.ParseSetup("blockchain: quorum\nconfiguration: devnet\nnode-scale: 2")
+	setup, err := spec.ParseSetup("blockchain: " + chainName + "\nconfiguration: devnet\nnode-scale: 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func runDistributed(t *testing.T, benchSrc string, secondaries int) (*PrimaryRes
 }
 
 func TestDistributedDAppBenchmark(t *testing.T) {
-	res, secStats := runDistributed(t, benchYAML, 3)
+	res, secStats := runDistributed(t, "quorum", benchYAML, 3)
 	// 2 clients x 5 TPS x 10s = 100 transactions.
 	if res.Summary.Submitted != 100 {
 		t.Fatalf("submitted = %d, want 100", res.Summary.Submitted)
@@ -135,7 +138,7 @@ func TestDistributedDAppBenchmark(t *testing.T) {
 }
 
 func TestDistributedTransferBenchmark(t *testing.T) {
-	res, _ := runDistributed(t, transferYAML, 2)
+	res, _ := runDistributed(t, "quorum", transferYAML, 2)
 	if res.Summary.Submitted != 100 {
 		t.Fatalf("submitted = %d", res.Summary.Submitted)
 	}
@@ -144,6 +147,16 @@ func TestDistributedTransferBenchmark(t *testing.T) {
 	}
 	if res.Summary.AvgLatency <= 0 {
 		t.Fatal("no latency")
+	}
+}
+
+// TestDistributedLondonChain runs the transfer benchmark on Ethereum, whose
+// blocks skip transactions priced below the base fee: the Secondaries'
+// gas price must reach the Primary for anything to commit.
+func TestDistributedLondonChain(t *testing.T) {
+	res, _ := runDistributed(t, "ethereum", transferYAML, 2)
+	if res.Summary.Submitted != 100 || res.Summary.Committed != 100 {
+		t.Fatalf("committed %d/%d on ethereum (dropped %d)", res.Summary.Committed, res.Summary.Submitted, res.Dropped)
 	}
 }
 
@@ -260,6 +273,37 @@ func TestPrimaryChecksStatsAck(t *testing.T) {
 			primaryError(t, done, tc.want)
 		})
 	}
+}
+
+// TestPrimaryRejectsTamperedUpload: an uploaded transaction whose wire
+// signature does not verify fails the Primary with an error naming the
+// Secondary and the transaction's global index.
+func TestPrimaryRejectsTamperedUpload(t *testing.T) {
+	addr, done := startPrimary(t)
+	c, err := dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cc := newConn(c)
+	if err := cc.send(&Message{Type: "hello"}); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := cc.recv(); err != nil || m.Type != "assign" {
+		t.Fatalf("expected assign: %v %v", m, err)
+	}
+	acct := wallet.NewAccount(wallet.FastScheme{}, []byte("tamper"))
+	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000, GasPrice: 1}
+	acct.SignNext(tx)
+	sig := acct.WireSig(tx)
+	sig[0] ^= 0x01
+	if err := cc.send(&Message{Type: "tx", Tx: newWireTx(tx, 7, time.Second, sig)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.send(&Message{Type: "done"}); err != nil {
+		t.Fatal(err)
+	}
+	primaryError(t, done, "secondary 0: transaction 7: wallet: invalid signature")
 }
 
 func TestParseAddress(t *testing.T) {

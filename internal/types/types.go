@@ -110,7 +110,10 @@ type Transaction struct {
 	GasPrice uint64  // fee per gas unit
 	Data     []byte  // calldata (invoke) or bytecode (deploy)
 
-	Sig    []byte // signature over ID()
+	// Sig is a shared placeholder of the wire signature's size on a
+	// transaction sealed in-process (wallet.Account.Sign), and a real
+	// signature over SigningBytes on one a remote Secondary uploads.
+	Sig    []byte
 	PubKey []byte // signer public key
 
 	hash Hash // cached by Seal at signing, else computed lazily by ID
@@ -150,7 +153,7 @@ func (tx *Transaction) Seal(buf []byte) []byte {
 }
 
 // ID returns the transaction hash (over the signed payload, excluding the
-// signature itself). The result is cached; a transaction signed through
+// signature itself). The result is cached; a transaction sealed through
 // the wallet already carries it.
 //
 //perf:noalloc

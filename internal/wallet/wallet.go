@@ -1,23 +1,21 @@
 // Package wallet manages client accounts: key generation, transaction
-// signing and verification, and per-account nonce tracking. DIABLO
-// Secondaries pre-sign transactions before an experiment starts, exactly as
-// the paper describes, so signing cost is off the critical path.
+// sealing, wire signing and verification, and per-account nonce tracking.
 //
-// Two signature schemes are provided. Ed25519Scheme uses real Ed25519 from
-// the standard library and is the default for functional tests and small
-// experiments. FastScheme replaces the asymmetric primitive with a keyed
-// SHA-256 tag of the same wire size; it preserves every protocol code path
-// (signing, transport size, verification, rejection of tampered payloads)
-// while making million-transaction experiments affordable on one machine.
-// Which scheme an experiment used is recorded in its results.
+// DIABLO Secondaries pre-sign transactions before an experiment starts, as
+// the paper describes, so signing cost is off the critical path; a node's
+// verification cost is charged in virtual time by the chain model. Inside
+// the process nothing reads a signature's bytes, so Account.Sign seals a
+// transaction instead: it sets the sender, caches the ID and attaches a
+// shared all-zero placeholder of the wire signature's size, which keeps
+// every transaction size, block size and byte count exact. A real
+// signature is made only where bytes leave the process: the remote
+// Secondaries sign with WireSig, and the Primary checks with VerifyTx.
 package wallet
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 
 	"diablo/internal/types"
@@ -25,8 +23,6 @@ import (
 
 // Scheme abstracts the signature algorithm.
 type Scheme interface {
-	// Name identifies the scheme in experiment metadata.
-	Name() string
 	// Keys derives a deterministic key pair from a seed.
 	Keys(seed []byte) (pub, priv []byte)
 	// Sign signs msg with priv.
@@ -35,40 +31,20 @@ type Scheme interface {
 	Verify(pub, msg, sig []byte) bool
 }
 
-// Ed25519Scheme signs with crypto/ed25519.
-type Ed25519Scheme struct{}
+// SigSize is the size of a wire signature, and of the placeholder a sealed
+// transaction carries instead.
+const SigSize = 64
 
-// Name implements Scheme.
-func (Ed25519Scheme) Name() string { return "ed25519" }
+// sealedSig is the placeholder every sealed transaction's Sig points at.
+// It is never written: Sign hands out sealedSig[:SigSize:SigSize], whose
+// capacity makes any append copy.
+var sealedSig [SigSize]byte
 
-// Keys implements Scheme.
-func (Ed25519Scheme) Keys(seed []byte) (pub, priv []byte) {
-	sum := sha256.Sum256(seed)
-	key := ed25519.NewKeyFromSeed(sum[:])
-	return key.Public().(ed25519.PublicKey), key
-}
-
-// Sign implements Scheme.
-func (Ed25519Scheme) Sign(priv, msg []byte) []byte {
-	return ed25519.Sign(ed25519.PrivateKey(priv), msg)
-}
-
-// Verify implements Scheme.
-func (Ed25519Scheme) Verify(pub, msg, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
-		return false
-	}
-	return ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
-}
-
-// FastScheme produces 64-byte keyed-hash tags. It is NOT cryptographically
-// secure against an adversary who knows the private key derivation; it
-// exists to keep large simulations cheap while exercising identical code
-// paths and wire formats.
+// FastScheme produces SigSize-byte keyed-hash signatures, the size of an
+// Ed25519 signature. It is NOT cryptographically secure (a signature
+// carries its key): it detects corrupted and altered transactions on the
+// Primary/Secondary wire at the cost of one SHA-256.
 type FastScheme struct{}
-
-// Name implements Scheme.
-func (FastScheme) Name() string { return "fasthash" }
 
 // Keys implements Scheme.
 func (FastScheme) Keys(seed []byte) (pub, priv []byte) {
@@ -79,9 +55,8 @@ func (FastScheme) Keys(seed []byte) (pub, priv []byte) {
 
 // Sign implements Scheme.
 func (FastScheme) Sign(priv, msg []byte) []byte {
-	// Padded to the Ed25519 signature size so network byte accounting
-	// matches: the tag, then the key so Verify can check it.
-	sig := make([]byte, 64)
+	// The tag, then the key so Verify can check it.
+	sig := make([]byte, SigSize)
 	h := sha256.New()
 	h.Write(priv)
 	h.Write(msg)
@@ -92,7 +67,7 @@ func (FastScheme) Sign(priv, msg []byte) []byte {
 
 // Verify implements Scheme.
 func (FastScheme) Verify(pub, msg, sig []byte) bool {
-	if len(sig) != 64 {
+	if len(sig) != SigSize {
 		return false
 	}
 	priv := sig[32:]
@@ -139,14 +114,24 @@ func newAccount(scheme Scheme, seed []byte, buf *[]byte) *Account {
 	}
 }
 
-// Sign signs a transaction in place, setting From, Sig and PubKey, and
-// caches its ID from the same encoding the signature covers. It does not
-// touch the nonce; use NextNonce or SignNext for sequenced sending.
+// Sign seals a transaction in place: it sets From and PubKey, caches the
+// ID from the signing bytes and sets Sig to the shared placeholder, which
+// has the wire signature's size but is not a valid signature. It does not
+// touch the nonce; use NextNonce or SignNext for sequenced sending, and
+// WireSig for a signature that leaves the process.
 func (a *Account) Sign(tx *types.Transaction) {
 	tx.From = a.Address
 	tx.PubKey = a.Pub
 	*a.buf = tx.Seal(*a.buf)
-	tx.Sig = a.scheme.Sign(a.priv, *a.buf)
+	tx.Sig = sealedSig[:SigSize:SigSize]
+}
+
+// WireSig returns the account's real signature over the transaction's
+// signing bytes, for a transaction sealed by this account that is about
+// to leave the process.
+func (a *Account) WireSig(tx *types.Transaction) []byte {
+	*a.buf = tx.AppendSigningBytes((*a.buf)[:0])
+	return a.scheme.Sign(a.priv, *a.buf)
 }
 
 // NextNonce returns the account's next sequence number and increments it.
@@ -156,7 +141,7 @@ func (a *Account) NextNonce() uint64 {
 	return n
 }
 
-// SignNext assigns the next nonce and signs the transaction.
+// SignNext assigns the next nonce and seals the transaction.
 func (a *Account) SignNext(tx *types.Transaction) {
 	tx.Nonce = a.NextNonce()
 	a.Sign(tx)
@@ -226,16 +211,4 @@ func (w *Wallet) Addresses() []types.Address {
 		out[i] = a.Address
 	}
 	return out
-}
-
-// SchemeByName returns the named signature scheme.
-func SchemeByName(name string) (Scheme, error) {
-	switch name {
-	case "ed25519":
-		return Ed25519Scheme{}, nil
-	case "fasthash":
-		return FastScheme{}, nil
-	default:
-		return nil, fmt.Errorf("wallet: unknown signature scheme %q", name)
-	}
 }

@@ -8,72 +8,69 @@ import (
 	"diablo/internal/types"
 )
 
-var schemes = []Scheme{Ed25519Scheme{}, FastScheme{}}
-
 func TestSignAndVerifyAllSchemes(t *testing.T) {
-	for _, s := range schemes {
-		t.Run(s.Name(), func(t *testing.T) {
-			acct := NewAccount(s, []byte("seed"))
-			tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{2}, Value: 5}
-			acct.SignNext(tx)
-			if err := VerifyTx(s, tx); err != nil {
-				t.Fatalf("valid tx rejected: %v", err)
-			}
-			if tx.Nonce != 0 || acct.Nonce != 1 {
-				t.Fatalf("nonce sequencing wrong: tx=%d acct=%d", tx.Nonce, acct.Nonce)
-			}
-		})
-	}
+	t.Run("fasthash", func(t *testing.T) {
+		acct := NewAccount(FastScheme{}, []byte("seed"))
+		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{2}, Value: 5}
+		acct.SignNext(tx)
+		if err := VerifyTx(FastScheme{}, tx); err == nil {
+			t.Fatal("sealed placeholder accepted as a signature")
+		}
+		tx.Sig = acct.WireSig(tx)
+		if err := VerifyTx(FastScheme{}, tx); err != nil {
+			t.Fatalf("valid tx rejected: %v", err)
+		}
+		if tx.Nonce != 0 || acct.Nonce != 1 {
+			t.Fatalf("nonce sequencing wrong: tx=%d acct=%d", tx.Nonce, acct.Nonce)
+		}
+	})
 }
 
 func TestVerifyRejectsTampering(t *testing.T) {
-	for _, s := range schemes {
-		t.Run(s.Name(), func(t *testing.T) {
-			acct := NewAccount(s, []byte("seed"))
-			tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{2}, Value: 5}
-			acct.Sign(tx)
+	t.Run("fasthash", func(t *testing.T) {
+		acct := NewAccount(FastScheme{}, []byte("seed"))
+		tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{2}, Value: 5}
+		acct.Sign(tx)
+		tx.Sig = acct.WireSig(tx)
 
-			tampered := *tx
-			tampered.Value = 9999
-			if err := VerifyTx(s, &tampered); err == nil {
-				t.Fatal("tampered payload accepted")
-			}
+		tampered := *tx
+		tampered.Value = 9999
+		if err := VerifyTx(FastScheme{}, &tampered); err == nil {
+			t.Fatal("tampered payload accepted")
+		}
 
-			badSig := *tx
-			badSig.Sig = append([]byte(nil), tx.Sig...)
-			badSig.Sig[0] ^= 0xff
-			if err := VerifyTx(s, &badSig); err == nil {
-				t.Fatal("corrupted signature accepted")
-			}
+		badSig := *tx
+		badSig.Sig = append([]byte(nil), tx.Sig...)
+		badSig.Sig[0] ^= 0xff
+		if err := VerifyTx(FastScheme{}, &badSig); err == nil {
+			t.Fatal("corrupted signature accepted")
+		}
 
-			other := NewAccount(s, []byte("other"))
-			stolen := *tx
-			stolen.From = other.Address
-			if err := VerifyTx(s, &stolen); err == nil {
-				t.Fatal("sender/pubkey mismatch accepted")
-			}
-		})
-	}
+		other := NewAccount(FastScheme{}, []byte("other"))
+		stolen := *tx
+		stolen.From = other.Address
+		if err := VerifyTx(FastScheme{}, &stolen); err == nil {
+			t.Fatal("sender/pubkey mismatch accepted")
+		}
+	})
 }
 
 func TestVerifyRejectsUnsigned(t *testing.T) {
 	tx := &types.Transaction{}
-	if err := VerifyTx(Ed25519Scheme{}, tx); err == nil {
+	if err := VerifyTx(FastScheme{}, tx); err == nil {
 		t.Fatal("unsigned transaction accepted")
 	}
 }
 
 func TestDeterministicAccounts(t *testing.T) {
-	for _, s := range schemes {
-		a := NewAccount(s, []byte("x"))
-		b := NewAccount(s, []byte("x"))
-		if a.Address != b.Address {
-			t.Fatalf("%s: same seed produced different addresses", s.Name())
-		}
-		c := NewAccount(s, []byte("y"))
-		if a.Address == c.Address {
-			t.Fatalf("%s: different seeds collided", s.Name())
-		}
+	a := NewAccount(FastScheme{}, []byte("x"))
+	b := NewAccount(FastScheme{}, []byte("x"))
+	if a.Address != b.Address {
+		t.Fatal("same seed produced different addresses")
+	}
+	c := NewAccount(FastScheme{}, []byte("y"))
+	if a.Address == c.Address {
+		t.Fatal("different seeds collided")
 	}
 }
 
@@ -132,48 +129,27 @@ func TestAddressesOrder(t *testing.T) {
 	}
 }
 
-func TestSchemeByName(t *testing.T) {
-	for _, name := range []string{"ed25519", "fasthash"} {
-		s, err := SchemeByName(name)
-		if err != nil || s.Name() != name {
-			t.Fatalf("SchemeByName(%q) = %v, %v", name, s, err)
-		}
-	}
-	if _, err := SchemeByName("rsa4096"); err == nil {
-		t.Fatal("unknown scheme accepted")
-	}
-}
-
-// Property: for both schemes, any signed message verifies and any single
-// byte flip in the message fails verification.
+// Property: any wire-signed transaction verifies, and flipping a bit in
+// any byte of its calldata fails verification.
 func TestSignatureSoundnessProperty(t *testing.T) {
-	for _, s := range schemes {
-		s := s
-		f := func(seed, msg []byte, flip uint16) bool {
-			if len(msg) == 0 {
-				msg = []byte{0}
-			}
-			pub, priv := s.Keys(seed)
-			sig := s.Sign(priv, msg)
-			if !s.Verify(pub, msg, sig) {
-				return false
-			}
-			bad := append([]byte(nil), msg...)
-			bad[int(flip)%len(bad)] ^= 0x01
-			return !s.Verify(pub, bad, sig)
+	f := func(seed, data []byte, flip uint16) bool {
+		if len(data) == 0 {
+			data = []byte{0}
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-	}
-}
-
-func BenchmarkSignEd25519(b *testing.B) {
-	acct := NewAccount(Ed25519Scheme{}, []byte("bench"))
-	tx := &types.Transaction{To: types.Address{1}, Value: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+		acct := NewAccount(FastScheme{}, seed)
+		tx := &types.Transaction{Kind: types.KindInvoke, To: types.Address{3}, Data: data}
 		acct.Sign(tx)
+		tx.Sig = acct.WireSig(tx)
+		if VerifyTx(FastScheme{}, tx) != nil {
+			return false
+		}
+		bad := *tx
+		bad.Data = append([]byte(nil), data...)
+		bad.Data[int(flip)%len(data)] ^= 0x01
+		return VerifyTx(FastScheme{}, &bad) != nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,11 +162,11 @@ func BenchmarkSignFast(b *testing.B) {
 	}
 }
 
-// Allocation budget: signing encodes into the wallet's shared buffer, takes
-// the ID from the same bytes and writes the tag straight into the signature,
-// so the 64-byte signature is the only allocation — and ID() afterwards is
-// a cache hit equal to the hash of the signed payload.
-func TestSignNextAllocatesOnlyTheSignature(t *testing.T) {
+// Allocation budget: sealing encodes into the wallet's shared buffer, takes
+// the ID from those bytes and points the signature at the shared
+// placeholder, so it allocates nothing — and ID() afterwards is a cache hit
+// equal to the hash of the signing bytes.
+func TestSignNextAllocatesNothing(t *testing.T) {
 	w := New(FastScheme{}, "alloc", 4)
 	data := make([]byte, 16)
 	var tx types.Transaction
@@ -201,13 +177,13 @@ func TestSignNextAllocatesOnlyTheSignature(t *testing.T) {
 		tx.ID()
 		i++
 	})
-	if n > 1 {
-		t.Fatalf("SignNext + ID allocates %v times, want at most 1", n)
+	if n != 0 {
+		t.Fatalf("SignNext + ID allocates %v times, want 0", n)
 	}
 	if tx.ID() != types.HashBytes(tx.SigningBytes()) {
 		t.Fatal("cached ID is not the hash of the signing bytes")
 	}
-	if err := VerifyTx(FastScheme{}, &tx); err != nil {
-		t.Fatal(err)
+	if len(tx.Sig) != SigSize {
+		t.Fatalf("sealed signature is %d bytes, want %d", len(tx.Sig), SigSize)
 	}
 }
