@@ -33,8 +33,9 @@ test: vet lint adversary-smoke pexec-smoke spans-smoke knee-smoke fuzz-smoke
 	$(GO) test ./...
 
 # Ten seconds of each fuzz target: the two differential oracles of the
-# pre-decoded interpreters (decoded program == byte-stream loop, DESIGN.md §5)
-# and the checkpoint decoder. go test fuzzes one target of one package per run.
+# pre-decoded interpreters (decoded program == byte-stream loop, DESIGN.md §5),
+# the checkpoint decoder and the Primary/Secondary wire reader. go test fuzzes
+# one target of one package per run.
 # Minimising is capped at 20 runs an input: left at its 60 s default, shrinking
 # the first kilobyte-sized contract that finds new coverage eats the whole ten
 # seconds.
@@ -43,6 +44,7 @@ fuzz-smoke:
 	$(GO) test ./internal/vm $(FUZZ) -fuzz '^FuzzProgramMatchesBytecode$$'
 	$(GO) test ./internal/avm $(FUZZ) -fuzz '^FuzzMachineMatchesBytecode$$'
 	$(GO) test ./internal/snapshot $(FUZZ) -fuzz '^FuzzDecode$$'
+	$(GO) test ./internal/remote $(FUZZ) -fuzz '^FuzzRecv$$'
 
 test-short:
 	$(GO) test -short ./...
@@ -65,7 +67,7 @@ bench-exhibits:
 	$(GO) test -bench=. -benchmem
 
 # Regenerate every table and figure at the paper's full deployment scale
-# (~15 minutes) with CSV series under results/.
+# (188 s on a 2-vCPU Xeon host) with CSV series under results/.
 exhibits:
 	$(GO) run ./cmd/diablo-exp --csv=results all
 

@@ -7,11 +7,10 @@
 //	diablo run setup.yaml workload.yaml            (single-process mode)
 //
 // The primary coordinates the experiment over TCP: it waits for the given
-// number of secondaries, deploys the DApps, dispatches the workload,
-// gathers pre-signed transactions, runs the benchmark against the
-// simulated blockchain deployment named in the setup file and aggregates
-// the results. `diablo run` does all of it in one process for quick local
-// use.
+// number of secondaries, sends them the two spec documents, verifies the
+// transactions they pre-sign and runs on them the experiment `diablo run`
+// runs in one process, against the simulated blockchain deployment named
+// in the setup file.
 package main
 
 import (
@@ -19,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -32,7 +32,6 @@ import (
 	"diablo/internal/report"
 	"diablo/internal/snapshot"
 	"diablo/internal/spec"
-	"diablo/internal/stats"
 )
 
 func main() {
@@ -152,8 +151,6 @@ func runPrimary(args []string) error {
 	output := fs.String("output", "", "results JSON path")
 	compress := fs.Bool("compress", false, "gzip the output")
 	stat := fs.Bool("stat", false, "print statistics to standard output")
-	var envs multiFlag
-	fs.Var(&envs, "env", "environment assignments (accounts=..., contracts=...); accepted for compatibility")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -161,38 +158,40 @@ func runPrimary(args []string) error {
 	if len(rest) != 3 {
 		return fmt.Errorf("primary needs <secondaries> <setup.yaml> <workload.yaml>")
 	}
-	var secondaries int
-	if _, err := fmt.Sscanf(rest[0], "%d", &secondaries); err != nil || secondaries <= 0 {
+	secondaries, err := strconv.Atoi(rest[0])
+	if err != nil || secondaries <= 0 {
 		return fmt.Errorf("bad secondary count %q", rest[0])
 	}
-	setup, benchmark, benchYAML, err := loadSpecs(rest[1], rest[2])
+	sp, err := loadSpecs(rest[1], rest[2])
 	if err != nil {
 		return err
 	}
-	res, err := remote.RunPrimary(remote.PrimaryConfig{
+	exp, err := bench.FromSpec(sp.setup, sp.benchmark)
+	if err != nil {
+		return err
+	}
+	out, secStats, err := remote.RunPrimary(remote.PrimaryConfig{
 		Listen:        fmt.Sprintf(":%d", *port),
 		Secondaries:   secondaries,
-		Setup:         setup,
-		Benchmark:     benchmark,
-		BenchmarkYAML: benchYAML,
+		Experiment:    exp,
+		SetupYAML:     sp.setupSrc,
+		BenchmarkYAML: sp.benchSrc,
 		Log:           logger(level),
 	})
 	if err != nil {
 		return err
 	}
-	rep := reportFromPrimary(res, setup, benchmark)
+	if err := present(out, *stat, "", *output, *compress, logger(level)); err != nil {
+		return err
+	}
 	if *stat {
-		fmt.Println(collect.StatLine(rep))
-		for i, st := range res.Stats {
+		for i, st := range secStats {
 			fmt.Printf("secondary %d (%s): sent %d, committed %d, avg latency %.1f s\n",
 				i, st.Location, st.Sent, st.Committed, st.AvgLatS)
 		}
 	}
-	if *output != "" {
-		if err := writeReport(*output, rep, *compress); err != nil {
-			return err
-		}
-		logger(level)("results written to %s", *output)
+	if n := len(out.Violations); n > 0 {
+		return fmt.Errorf("%d invariant violation(s) detected", n)
 	}
 	return nil
 }
@@ -207,8 +206,8 @@ func runSecondary(args []string) error {
 		return err
 	}
 	addr := *primary
-	if _, _, err := splitHostPort(addr); err != nil {
-		addr = fmt.Sprintf("%s:%d", *primary, *port)
+	if _, _, err := net.SplitHostPort(addr); err != nil {
+		addr = net.JoinHostPort(addr, strconv.Itoa(*port))
 	}
 	st, err := remote.RunSecondary(remote.SecondaryConfig{
 		Primary:  addr,
@@ -230,7 +229,7 @@ func runLocal(args []string) error {
 	compress := fs.Bool("compress", false, "gzip the output")
 	stat := &statFlag{enabled: true}
 	fs.Var(stat, "stat", "print statistics; --stat N also prints a progress line every N sim-seconds")
-	tail := fs.Duration("tail", 120*time.Second, "observation tail after the last submission")
+	tail := fs.Duration("tail", bench.DefaultTail, "observation tail after the last submission")
 	repeat := fs.Int("repeat", 1, "run this many seeds (seed..seed+N-1)")
 	workers := fs.Int("workers", 0, "concurrent cells (0 = GOMAXPROCS, 1 = serial)")
 	tracePath := fs.String("trace", "", "write a JSONL transaction lifecycle trace (a .gz path is gzip-compressed)")
@@ -252,7 +251,11 @@ func runLocal(args []string) error {
 	if len(rest) != 2 {
 		return fmt.Errorf("run needs <setup.yaml> <workload.yaml>")
 	}
-	setup, benchmark, specHash, _, err := loadSpecsHashed(rest[0], rest[1])
+	sp, err := loadSpecs(rest[0], rest[1])
+	if err != nil {
+		return err
+	}
+	base, err := bench.FromSpec(sp.setup, sp.benchmark)
 	if err != nil {
 		return err
 	}
@@ -270,14 +273,6 @@ func runLocal(args []string) error {
 	}
 	if ckWindowUntil > 0 && ckWindowFrom > ckWindowUntil {
 		return fmt.Errorf("--checkpoint-from %s is after --checkpoint-until %s", ckWindowFrom, ckWindowUntil)
-	}
-	traces, err := benchmark.Traces()
-	if err != nil {
-		return err
-	}
-	var locations []string
-	for _, wl := range benchmark.Workloads {
-		locations = append(locations, wl.Locations...)
 	}
 	if *repeat < 1 {
 		*repeat = 1
@@ -297,20 +292,22 @@ func runLocal(args []string) error {
 		return fmt.Errorf("--resume with a single checkpoint file does not combine with --repeat; pass the checkpoint directory instead")
 	}
 	logger(level)("running %s on %s (%d workload traces, %d streams, %d seeds)",
-		setup.Chain, setup.Config.Name, len(traces), len(benchmark.Streams), *repeat)
-	if setup.Faults != nil {
-		logger(level)("chaos schedule: %d faults", len(setup.Faults.Events))
+		base.Chain, base.Config.Name, len(base.Traces), len(base.Streams), *repeat)
+	if base.Faults != nil {
+		logger(level)("chaos schedule: %d faults", len(base.Faults.Events))
 	}
-	if setup.Byzantine != nil {
-		logger(level)("byzantine schedule: %d behavior windows", len(setup.Byzantine.Events))
+	if base.Byzantine != nil {
+		logger(level)("byzantine schedule: %d behavior windows", len(base.Byzantine.Events))
 	}
-	gate := *invariants || setup.Invariants
-	execW := setup.ExecWorkers
+	base.Tail = *tail
+	base.Invariants = base.Invariants || *invariants
+	base.Metrics = *metrics
+	base.SpecHash = sp.hash()
 	if *execWorkers >= 0 {
-		execW = *execWorkers
+		base.ExecWorkers = *execWorkers
 	}
-	if execW > 1 {
-		logger(level)("parallel execution: %d workers", execW)
+	if base.ExecWorkers > 1 {
+		logger(level)("parallel execution: %d workers", base.ExecWorkers)
 	}
 	exps := make([]bench.Experiment, *repeat)
 	var sinks []io.Closer
@@ -326,24 +323,8 @@ func runLocal(args []string) error {
 	}
 	defer closeSinks()
 	for i := range exps {
-		exps[i] = bench.Experiment{
-			Chain:            setup.Chain,
-			Config:           setup.Config,
-			Traces:           traces,
-			Streams:          benchmark.Streams,
-			Seed:             setup.Seed + int64(i),
-			Tail:             *tail,
-			ScaleNodes:       setup.NodeScale,
-			Locations:        locations,
-			Faults:           setup.Faults,
-			Byzantine:        setup.Byzantine,
-			Invariants:       gate,
-			InclusionHorizon: setup.InclusionHorizon,
-			Retry:            setup.Retry,
-			Metrics:          *metrics,
-			SpecHash:         specHash,
-			ExecWorkers:      execW,
-		}
+		exps[i] = base
+		exps[i].Seed = base.Seed + int64(i)
 		// A resumed run re-records checkpoints at the recorded cadence so
 		// the original and resumed runs can be bisected against each other.
 		if ckInterval > 0 || *resume != "" {
@@ -441,7 +422,6 @@ func runLocal(args []string) error {
 	}
 	violated := 0
 	for _, out := range outs {
-		rep := collect.FromOutcome(out, true)
 		if len(out.Checkpoints) > 0 {
 			logger(level)("%d checkpoints written to %s", len(out.Checkpoints), out.Experiment.CheckpointDir)
 		}
@@ -449,38 +429,50 @@ func runLocal(args []string) error {
 			fmt.Printf("resume checkpoint verified at t=%.0fs: all subsystems match the recorded state\n",
 				out.Verified.Seconds())
 		}
-		if stat.enabled {
-			if *repeat > 1 {
-				fmt.Printf("seed %d: ", out.Experiment.Seed)
-			}
-			fmt.Println(collect.StatLine(rep))
-			report.RenderRecovery(os.Stdout, rep.Recovery)
-			report.RenderAdversary(os.Stdout, rep.Adversary)
-			report.RenderInvariants(os.Stdout, rep.Invariants)
-		}
-		if gate {
-			if len(out.Violations) == 0 {
-				logger(level)("invariants ok: %s", strings.Join(out.InvariantsChecked, ", "))
-			}
-			for _, v := range out.Violations {
-				fmt.Fprintln(os.Stderr, v.String())
-			}
-			violated += len(out.Violations)
-		}
-		if *output != "" {
-			path := *output
-			if *repeat > 1 {
+		label, path := "", *output
+		if *repeat > 1 {
+			label = fmt.Sprintf("seed %d: ", out.Experiment.Seed)
+			if path != "" {
 				path = seedSuffixed(path, out.Experiment.Seed)
 			}
-			if err := writeReport(path, rep, *compress); err != nil {
-				return err
-			}
-			logger(level)("results written to %s", path)
 		}
+		if err := present(out, stat.enabled, label, path, *compress, logger(level)); err != nil {
+			return err
+		}
+		violated += len(out.Violations)
 	}
 	if violated > 0 {
 		return fmt.Errorf("%d invariant violation(s) detected", violated)
 	}
+	return nil
+}
+
+// present prints an outcome's statistics (when stat is set, after label)
+// and its invariant violations, and writes its report to path unless that
+// is empty.
+func present(out *bench.Outcome, stat bool, label, path string, compress bool, logf func(string, ...any)) error {
+	rep := collect.FromOutcome(out, true)
+	if stat {
+		fmt.Println(label + collect.StatLine(rep))
+		report.RenderRecovery(os.Stdout, rep.Recovery)
+		report.RenderAdversary(os.Stdout, rep.Adversary)
+		report.RenderInvariants(os.Stdout, rep.Invariants)
+	}
+	if out.Experiment.Invariants {
+		if len(out.Violations) == 0 {
+			logf("invariants ok: %s", strings.Join(out.InvariantsChecked, ", "))
+		}
+		for _, v := range out.Violations {
+			fmt.Fprintln(os.Stderr, v.String())
+		}
+	}
+	if path == "" {
+		return nil
+	}
+	if err := writeReport(path, rep, compress); err != nil {
+		return err
+	}
+	logf("results written to %s", path)
 	return nil
 }
 
@@ -621,34 +613,41 @@ func lastDot(s string) int {
 	return -1
 }
 
-func loadSpecs(setupPath, workloadPath string) (*spec.Setup, *spec.Benchmark, string, error) {
-	setup, benchmark, _, benchYAML, err := loadSpecsHashed(setupPath, workloadPath)
-	return setup, benchmark, benchYAML, err
+// specs is a parsed setup and workload pair with the text of each.
+type specs struct {
+	setup     *spec.Setup
+	benchmark *spec.Benchmark
+	setupSrc  string
+	benchSrc  string
 }
 
-// loadSpecsHashed additionally returns the FNV-1a digest of the raw spec
-// bytes, which ties checkpoint files to the exact setup+workload pair.
-func loadSpecsHashed(setupPath, workloadPath string) (*spec.Setup, *spec.Benchmark, uint64, string, error) {
+func loadSpecs(setupPath, workloadPath string) (*specs, error) {
 	setupSrc, err := os.ReadFile(setupPath)
 	if err != nil {
-		return nil, nil, 0, "", err
+		return nil, err
 	}
 	setup, err := spec.ParseSetup(string(setupSrc))
 	if err != nil {
-		return nil, nil, 0, "", err
+		return nil, err
 	}
 	benchSrc, err := os.ReadFile(workloadPath)
 	if err != nil {
-		return nil, nil, 0, "", err
+		return nil, err
 	}
 	benchmark, err := spec.ParseBenchmark(string(benchSrc))
 	if err != nil {
-		return nil, nil, 0, "", err
+		return nil, err
 	}
+	return &specs{setup, benchmark, string(setupSrc), string(benchSrc)}, nil
+}
+
+// hash is the FNV-1a digest of the raw spec bytes, which ties checkpoint
+// files to the exact setup+workload pair.
+func (s *specs) hash() uint64 {
 	h := snapshot.NewHash()
-	h.Bytes(setupSrc)
-	h.Bytes(benchSrc)
-	return setup, benchmark, h.Sum(), string(benchSrc), nil
+	h.Bytes([]byte(s.setupSrc))
+	h.Bytes([]byte(s.benchSrc))
+	return h.Sum()
 }
 
 func writeReport(path string, rep *collect.Report, compress bool) error {
@@ -658,59 +657,4 @@ func writeReport(path string, rep *collect.Report, compress bool) error {
 	}
 	defer f.Close()
 	return collect.WriteJSON(f, rep, compress)
-}
-
-// reportFromPrimary converts a distributed run's aggregate to the output
-// document.
-func reportFromPrimary(res *remote.PrimaryResult, setup *spec.Setup, benchmark *spec.Benchmark) *collect.Report {
-	summary := stats.Summarize(res.Records, benchmark.Duration())
-	rep := &collect.Report{
-		Chain:  res.Chain,
-		Config: setup.Config.Name,
-		Seed:   setup.Seed,
-	}
-	rep.Summary.Submitted = summary.Submitted
-	rep.Summary.Committed = summary.Committed
-	rep.Summary.Aborted = summary.Aborted
-	rep.Summary.Pending = summary.Pending
-	rep.Summary.Dropped = res.Dropped
-	rep.Summary.AvgLoadTPS = summary.AvgLoadTPS
-	rep.Summary.ThroughputTPS = summary.ThroughputTPS
-	rep.Summary.AvgLatencyS = summary.AvgLatency.Seconds()
-	rep.Summary.MedianLatencyS = summary.MedianLatency.Seconds()
-	rep.Summary.P95LatencyS = summary.P95Latency.Seconds()
-	rep.Summary.MaxLatencyS = summary.MaxLatency.Seconds()
-	rep.Summary.CommitRatio = summary.CommitRatio
-	rep.Summary.DurationS = summary.Duration.Seconds()
-	rep.Transactions = make([]collect.TxRecord, len(res.Records))
-	for i, r := range res.Records {
-		tx := collect.TxRecord{SubmitS: r.Submit.Seconds(), CommitS: -1, Status: "pending"}
-		switch {
-		case r.Aborted:
-			tx.Status = "aborted"
-		case r.Committed():
-			tx.Status = "committed"
-			tx.CommitS = r.Commit.Seconds()
-		}
-		rep.Transactions[i] = tx
-	}
-	return rep
-}
-
-// multiFlag accepts repeated --env flags.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return fmt.Sprint([]string(*m)) }
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
-func splitHostPort(addr string) (string, string, error) {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i], addr[i+1:], nil
-		}
-	}
-	return "", "", fmt.Errorf("no port in %q", addr)
 }

@@ -21,6 +21,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"retired bench command", []string{"bench"}, 2, "usage:"},
 		{"help", []string{"help"}, 0, "usage:"},
 		{"run on a missing setup", []string{"run", missing, "workload.yaml"}, 1, missing},
+		// Only the primary's non-flag errors are testable: its flag set
+		// exits the process on a bad flag. Each fails before listening.
+		{"primary with a non-numeric count", []string{"primary", "x", "s.yaml", "w.yaml"}, 1, `bad secondary count "x"`},
+		{"primary with no secondaries", []string{"primary", "0", "s.yaml", "w.yaml"}, 1, `bad secondary count "0"`},
+		{"primary on a missing setup", []string{"primary", "2", missing, "w.yaml"}, 1, missing},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -6,6 +6,9 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"time"
@@ -21,7 +24,9 @@ import (
 	"diablo/internal/sim"
 	"diablo/internal/simnet"
 	"diablo/internal/span"
+	"diablo/internal/spec"
 	"diablo/internal/stream"
+	"diablo/internal/types"
 	"diablo/internal/wallet"
 	"diablo/internal/workloads"
 )
@@ -129,6 +134,70 @@ type Experiment struct {
 	// narrowing the window cannot alter the run's trajectory.
 	CheckpointFrom  time.Duration
 	CheckpointUntil time.Duration
+	// Uploads, when non-nil, replaces in-process encoding of the trace
+	// submissions: entry g is global submission g as a Secondary signed it
+	// (Presign) and the distributed Primary verified it, a
+	// *types.Transaction. A nil entry was never uploaded and is recorded
+	// aborted, like a submission that fails to encode. Only internal/remote
+	// sets it.
+	Uploads []core.Interaction
+}
+
+// DefaultTail is how long a run observes after its last submission.
+const DefaultTail = 120 * time.Second
+
+// FromSpec builds the experiment a setup and a workload document describe:
+// the one `diablo run` sweeps, the distributed Primary runs on its
+// Secondaries' uploads and every Secondary presigns its share of.
+func FromSpec(setup *spec.Setup, b *spec.Benchmark) (Experiment, error) {
+	traces, err := b.Traces()
+	if err != nil {
+		return Experiment{}, err
+	}
+	var locations []string
+	for _, wl := range b.Workloads {
+		locations = append(locations, wl.Locations...)
+	}
+	return Experiment{
+		Chain:            setup.Chain,
+		Config:           setup.Config,
+		Traces:           traces,
+		Streams:          b.Streams,
+		Seed:             setup.Seed,
+		Tail:             DefaultTail,
+		ScaleNodes:       setup.NodeScale,
+		Locations:        locations,
+		Faults:           setup.Faults,
+		Byzantine:        setup.Byzantine,
+		Invariants:       setup.Invariants,
+		InclusionHorizon: setup.InclusionHorizon,
+		Retry:            setup.Retry,
+		ExecWorkers:      setup.ExecWorkers,
+	}, nil
+}
+
+// scaled returns the experiment's configuration at its node scale.
+func (e Experiment) scaled() *configs.Config {
+	if e.ScaleNodes > 1 {
+		return e.Config.Scaled(e.ScaleNodes)
+	}
+	return e.Config
+}
+
+// deploy builds the experiment's chain network on sched in configuration
+// cfg (e.scaled()) and provisions its wallet.
+func (e Experiment) deploy(sched *sim.Scheduler, wan *simnet.Network, cfg *configs.Config) (*chain.Network, *wallet.Wallet, error) {
+	params, err := chains.ParamsFor(e.Chain)
+	if err != nil {
+		return nil, nil, err
+	}
+	net := chain.Deploy(sched, wan, params, chain.Deployment{
+		Nodes:   cfg.Nodes,
+		VCPUs:   cfg.VCPUs,
+		Regions: cfg.Regions,
+	})
+	w := wallet.New(wallet.FastScheme{}, fmt.Sprintf("%s-%s-%d", e.Chain, cfg.Name, e.Seed), cfg.AccountsFor(e.Chain))
+	return net, w, nil
 }
 
 // Progress is one periodic liveness report during a run.
@@ -206,6 +275,29 @@ type Outcome struct {
 	HazardEdges    uint64
 }
 
+// Digest hashes what the run simulated: its seed, summary, chain length,
+// virtual time, executed and replayed counts, dropped, aborted and timed-out
+// transactions, pool rejections, retries, the violation count and every
+// transaction's submit time, commit time and abort flag. Equal digests
+// mean equal outcomes; wall-clock time is left out.
+func (o *Outcome) Digest() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d|%+v|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|", o.Experiment.Seed, o.Summary, o.Blocks,
+		o.VirtualTime, o.ExecutedTxs, o.ReplayedTxs, o.Dropped, o.AbortedExec, o.TimedOut,
+		o.PoolDropped, o.Retries, len(o.Violations))
+	var buf [17]byte
+	for _, r := range o.Records {
+		binary.BigEndian.PutUint64(buf[0:], uint64(r.Submit))
+		binary.BigEndian.PutUint64(buf[8:], uint64(r.Commit))
+		buf[16] = 0
+		if r.Aborted {
+			buf[16] = 1
+		}
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // AdversaryStats summarizes what a scripted Byzantine adversary did.
 type AdversaryStats struct {
 	// Windows counts behavior window transitions (opens and closes).
@@ -236,15 +328,7 @@ func Run(e Experiment) (*Outcome, error) {
 	if len(e.Traces) == 0 && len(e.Streams) == 0 {
 		return nil, fmt.Errorf("bench: experiment needs at least one trace or stream")
 	}
-	params, err := chains.ParamsFor(e.Chain)
-	if err != nil {
-		return nil, err
-	}
-
-	cfg := e.Config
-	if e.ScaleNodes > 1 {
-		cfg = cfg.Scaled(e.ScaleNodes)
-	}
+	cfg := e.scaled()
 
 	start := time.Now()
 	sched := sim.NewScheduler(e.Seed)
@@ -264,11 +348,10 @@ func Run(e Experiment) (*Outcome, error) {
 	if spans != nil {
 		wan.SetSpans(spans)
 	}
-	net := chain.Deploy(sched, wan, params, chain.Deployment{
-		Nodes:   cfg.Nodes,
-		VCPUs:   cfg.VCPUs,
-		Regions: cfg.Regions,
-	})
+	net, w, err := e.deploy(sched, wan, cfg)
+	if err != nil {
+		return nil, err
+	}
 	net.DefaultRetry = e.Retry
 	if spans != nil {
 		net.SetSpans(spans)
@@ -315,9 +398,9 @@ func Run(e Experiment) (*Outcome, error) {
 		}
 		bs, ok := net.Engine().(chain.ByzantineSupport)
 		if !ok {
-			return nil, fmt.Errorf("bench: the %s consensus engine declares no byzantine behavior support", params.Consensus)
+			return nil, fmt.Errorf("bench: the %s consensus engine declares no byzantine behavior support", net.Params.Consensus)
 		}
-		if err := e.Byzantine.CheckSupport(bs.ByzantineBehaviors(), params.Consensus); err != nil {
+		if err := e.Byzantine.CheckSupport(bs.ByzantineBehaviors(), net.Params.Consensus); err != nil {
 			return nil, err
 		}
 		advEng = adversary.Install(sched, cfg.Nodes, e.Byzantine)
@@ -344,8 +427,6 @@ func Run(e Experiment) (*Outcome, error) {
 	}
 	net.Exec.Workers = e.ExecWorkers
 
-	accounts := cfg.AccountsFor(e.Chain)
-	w := wallet.New(wallet.FastScheme{}, fmt.Sprintf("%s-%s-%d", e.Chain, cfg.Name, e.Seed), accounts)
 	adapter := core.NewSimAdapter(net, w)
 
 	placement, err := ResolvePlacement(net, e.Locations)
@@ -412,11 +493,12 @@ func Run(e Experiment) (*Outcome, error) {
 	result, err := core.Run(sched, adapter, core.BenchmarkSpec{
 		Traces:    e.Traces,
 		Streams:   sources,
-		Accounts:  accounts,
+		Accounts:  w.Len(),
 		Seed:      e.Seed,
 		Tail:      e.Tail,
 		Placement: placement,
 		Metrics:   em,
+		Presigned: e.Uploads,
 	})
 	net.Stop()
 	// The inclusion check runs after the engine stopped: anything still
@@ -482,6 +564,33 @@ func Run(e Experiment) (*Outcome, error) {
 		}
 	}
 	return out, nil
+}
+
+// Presign derives the trace transactions of e exactly as Run encodes them —
+// core.Presign over the same deployment, wallet and seed — and hands emit
+// each one whose global index g satisfies keep(g), carrying its sender's
+// wire signature, with the virtual time Run submits it at. Only keep's
+// share is signed. London chains get core.PresignedGasPrice, since a
+// transaction signed in advance cannot see the live base fee. Stream
+// workloads are not presigned: e must have none.
+func Presign(e Experiment, keep func(global int) bool, emit func(global int, at time.Duration, tx *types.Transaction) error) error {
+	sched := sim.NewScheduler(e.Seed)
+	net, w, err := e.deploy(sched, simnet.New(sched), e.scaled())
+	if err != nil {
+		return err
+	}
+	adapter := core.NewSimAdapter(net, w)
+	adapter.Presign = true
+	work := core.BenchmarkSpec{Traces: e.Traces, Accounts: w.Len(), Seed: e.Seed}
+	return core.Presign(adapter, work, func(g int, at time.Duration, in core.Interaction) error {
+		if !keep(g) {
+			return nil
+		}
+		tx := in.(*types.Transaction)
+		acct, _ := w.Lookup(tx.From)
+		tx.Sig = acct.WireSig(tx)
+		return emit(g, at, tx)
+	})
 }
 
 // ResolvePlacement maps the specification's location tags to the deployed

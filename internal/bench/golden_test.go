@@ -2,7 +2,6 @@ package bench_test
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -191,27 +190,6 @@ func uberCell(chain string, seed int64) func(*testing.T) bench.Experiment {
 	}
 }
 
-// goldenDigest hashes what a cell's simulation produced: seed, summary,
-// chain and execution counts, fates, and every transaction's submit time,
-// commit time and abort flag.
-func goldenDigest(out *bench.Outcome) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%d|%+v|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|", out.Experiment.Seed, out.Summary, out.Blocks,
-		out.VirtualTime, out.ExecutedTxs, out.ReplayedTxs, out.Dropped, out.AbortedExec, out.TimedOut,
-		out.PoolDropped, out.Retries, len(out.Violations))
-	var buf [17]byte
-	for _, r := range out.Records {
-		binary.BigEndian.PutUint64(buf[0:], uint64(r.Submit))
-		binary.BigEndian.PutUint64(buf[8:], uint64(r.Commit))
-		buf[16] = 0
-		if r.Aborted {
-			buf[16] = 1
-		}
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 func readGolden(t *testing.T) map[string]string {
 	t.Helper()
 	src, err := os.ReadFile(goldenFile)
@@ -254,7 +232,7 @@ func TestGoldenSimDigests(t *testing.T) {
 			t.Fatalf("%s: empty run (%d submitted, %d committed, %d aborted)", c.name, out.Summary.Submitted,
 				out.Summary.Committed, out.AbortedExec)
 		}
-		got := goldenDigest(out)
+		got := out.Digest()
 		if out.Experiment.CheckpointDir != "" {
 			got = observedDigest(t, got, out)
 		}

@@ -14,7 +14,8 @@ import (
 // simulated chain network. It is the reference connector: the per-chain
 // differences (client overheads, confirmation depths, VM budgets) live in
 // the chain's Params, so one adapter serves all six chains — mirroring how
-// the paper's per-chain connectors stay small.
+// the paper's per-chain connectors stay small. Its interactions are sealed
+// *types.Transaction values.
 type SimAdapter struct {
 	Net    *chain.Network
 	Wallet *wallet.Wallet
@@ -22,6 +23,10 @@ type SimAdapter struct {
 	// demand; its namespace is disjoint from the provisioned wallet's so
 	// the two populations can never collide.
 	Lazy *wallet.Lazy
+	// Presign encodes for signing in advance, as a remote Secondary does:
+	// a London chain's transactions carry PresignedGasPrice instead of a
+	// price derived from the live base fee, which they cannot see.
+	Presign bool
 
 	// deployer signs contract deployments; it is distinct from workload
 	// accounts so deployment nonces never stall strict-sequence chains.
@@ -108,10 +113,10 @@ func (a *SimAdapter) CreateClient(endpoints []Endpoint) (Client, error) {
 	return c, nil
 }
 
-// simInteraction is the encoded form: a signed transaction.
-type simInteraction struct {
-	tx *types.Transaction
-}
+// PresignedGasPrice is what a transaction signed in advance offers per gas
+// on a London chain: generous enough that no base fee a benchmark reaches
+// strands it, the pre-signing trade-off the paper describes.
+const PresignedGasPrice = 1 << 30
 
 // simClient is the per-worker connection.
 type simClient struct {
@@ -138,10 +143,14 @@ func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
 	// Secondary signs right before sending (the paper's accommodation for
 	// Ethereum and Avalanche). Wallet convention: maxFeePerGas of twice
 	// the current base fee plus a tip, so a transaction strands only when
-	// the fee more than doubles while it waits.
+	// the fee more than doubles while it waits. Signing in advance
+	// (Presign) cannot see the fee, and overprices instead.
 	gasPrice := uint64(1)
 	if fee := c.adapter.Net.BaseFee(); fee > 0 {
 		gasPrice = 2*fee + fee/8
+		if c.adapter.Presign {
+			gasPrice = PresignedGasPrice
+		}
 	}
 	var tx *types.Transaction
 	switch spec.Kind {
@@ -187,15 +196,15 @@ func (c *simClient) Encode(spec InteractionSpec) (Interaction, error) {
 		acct := c.adapter.Wallet.Get(spec.From % c.adapter.Wallet.Len())
 		acct.SignNext(tx)
 	}
-	return simInteraction{tx: tx}, nil
+	return tx, nil
 }
 
 // Trigger implements Client: send, tagging the submission with the token.
 func (c *simClient) Trigger(e Interaction, token any) error {
-	si, ok := e.(simInteraction)
+	tx, ok := e.(*types.Transaction)
 	if !ok {
 		return fmt.Errorf("core: foreign interaction %T", e)
 	}
-	c.client.Submit(si.tx, token)
+	c.client.Submit(tx, token)
 	return nil
 }

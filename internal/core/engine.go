@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -47,10 +48,6 @@ type BenchmarkSpec struct {
 	// Streams are constant-memory generated workloads (internal/stream)
 	// running alongside the traces; either list may be empty, but not both.
 	Streams []stream.Source
-	// Secondaries is the number of Secondary processes; each connects to
-	// its collocated endpoint (endpoint i for Secondary i mod |E|).
-	// Defaults to the number of endpoints.
-	Secondaries int
 	// Accounts is the number of signing accounts provisioned.
 	Accounts int
 	// Seed drives workload argument generation.
@@ -67,6 +64,11 @@ type BenchmarkSpec struct {
 	// Metrics optionally receives engine-side counters (see EngineMetrics);
 	// the zero value disables them.
 	Metrics EngineMetrics
+	// Presigned, when non-nil, takes the place of Client.Encode for the
+	// trace submissions: entry g is global submission g as it was encoded
+	// and signed elsewhere (the distributed Primary's verified uploads); a
+	// nil entry is recorded aborted, like a submission that fails to encode.
+	Presigned []Interaction
 }
 
 // Result is the aggregated outcome the Primary reports.
@@ -129,6 +131,133 @@ func (t *recordTokens) next(idx int32) *int32 {
 	return p
 }
 
+// workload is what Run and Presign derive from a spec before encoding
+// anything: the deployed contracts, each trace's DApp, the workload RNG and
+// the trace submissions grouped into batch windows, in the order Run
+// encodes them. Sharing it is what makes a remote Secondary's presigned
+// transactions the very ones the in-process run encodes.
+type workload struct {
+	spec      *BenchmarkSpec
+	contracts map[string]Resource
+	dappOf    []*dapps.DApp
+	rng       *rand.Rand
+	windows   map[int64][]submission
+	keys      []int64 // window keys, ascending
+	total     int     // trace submissions
+	deployErr error   // a DApp the chain cannot express: the run is empty
+}
+
+// newWorkload deploys the DApps the traces and streams call, traces first,
+// and lays out the trace submissions. It fills in spec.Accounts' default.
+func newWorkload(bc Blockchain, spec *BenchmarkSpec) (*workload, error) {
+	if spec.Accounts <= 0 {
+		spec.Accounts = 2000
+	}
+	w := &workload{
+		spec:      spec,
+		contracts: map[string]Resource{},
+		dappOf:    make([]*dapps.DApp, len(spec.Traces)),
+		rng:       rand.New(rand.NewSource(spec.Seed)), //lint:allow globalrand workload RNG is seeded from spec.Seed and drawn before the event loop starts; draw position never needs checkpointing
+		windows:   map[int64][]submission{},
+	}
+	deploy := func(name string) bool {
+		if _, done := w.contracts[name]; done {
+			return true
+		}
+		r, err := bc.CreateResource(ResourceSpec{Kind: ResourceContract, Name: name})
+		if err != nil {
+			w.deployErr = err
+			return false
+		}
+		w.contracts[name] = r
+		return true
+	}
+	for i, tr := range spec.Traces {
+		if tr.DApp == "" {
+			continue
+		}
+		d, err := dapps.Get(tr.DApp)
+		if err != nil {
+			return nil, err
+		}
+		w.dappOf[i] = d
+		if !deploy(tr.DApp) {
+			return w, nil
+		}
+	}
+	for _, src := range spec.Streams {
+		if src.DApp() == "" {
+			continue
+		}
+		if _, err := dapps.Get(src.DApp()); err != nil {
+			return nil, err
+		}
+		if !deploy(src.DApp()) {
+			return w, nil
+		}
+	}
+
+	// Submissions are batched per 50ms window to bound event count.
+	for ti, tr := range spec.Traces {
+		ti32, base := int32(ti), int32(w.total)
+		tr.ForEach(func(idx int, at time.Duration) {
+			k := int64(at / batchWindow)
+			w.windows[k] = append(w.windows[k], submission{at: at, trace: ti32, global: base + int32(idx)})
+		})
+		w.total += tr.Total()
+	}
+	// Windows are scheduled in sorted order: each window has a distinct
+	// timestamp, so map order would not change behavior, but scheduling
+	// from map iteration would randomize event sequence numbers and break
+	// checkpoint queue digests (internal/snapshot).
+	w.keys = make([]int64, 0, len(w.windows))
+	for k := range w.windows {
+		w.keys = append(w.keys, k)
+	}
+	sort.Slice(w.keys, func(i, j int) bool { return w.keys[i] < w.keys[j] })
+	return w, nil
+}
+
+// interaction builds submission s's interaction spec. A DApp call draws its
+// arguments from the workload RNG, so callers must visit the submissions in
+// window order, as Run and Presign do.
+func (w *workload) interaction(s submission) InteractionSpec {
+	tr := w.spec.Traces[s.trace]
+	if tr.DApp == "" {
+		return InteractionSpec{
+			Kind:   InteractTransfer,
+			From:   int(s.global) % w.spec.Accounts,
+			To:     (int(s.global) + 1) % w.spec.Accounts,
+			Amount: 1,
+		}
+	}
+	d := w.dappOf[s.trace]
+	return InteractionSpec{
+		Kind:           InteractInvoke,
+		From:           int(s.global) % w.spec.Accounts,
+		Contract:       w.contracts[tr.DApp],
+		Function:       tr.Func,
+		Args:           d.ArgGen(w.rng, tr.Func),
+		ExtraDataBytes: d.DataBytes,
+	}
+}
+
+// errNotUploaded marks a presigned run's submission that no Secondary
+// uploaded; like one that fails to encode, it is recorded aborted.
+var errNotUploaded = errors.New("core: transaction was not uploaded")
+
+// encode returns submission s's interaction: its upload in a presigned
+// run, else c's encoding of its spec.
+func (w *workload) encode(c Client, s submission) (Interaction, error) {
+	if w.spec.Presigned != nil {
+		if e := w.spec.Presigned[s.global]; e != nil {
+			return e, nil
+		}
+		return nil, errNotUploaded
+	}
+	return c.Encode(w.interaction(s))
+}
+
 // Run executes a benchmark against a blockchain on the given scheduler.
 // The caller is responsible for starting the chain's block production
 // before calling Run and stopping it afterwards.
@@ -137,16 +266,9 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 		return nil, fmt.Errorf("core: no traces or streams to run")
 	}
 	endpoints := bc.Endpoints()
-	if spec.Secondaries <= 0 {
-		spec.Secondaries = len(endpoints)
-	}
-	if spec.Accounts <= 0 {
-		spec.Accounts = 2000
-	}
 	if spec.Tail <= 0 {
 		spec.Tail = 120 * time.Second
 	}
-	rng := rand.New(rand.NewSource(spec.Seed)) //lint:allow globalrand workload RNG is seeded from spec.Seed and drawn before the event loop starts; draw position never needs checkpointing
 
 	res := &Result{Chain: bc.Name()}
 	for _, tr := range spec.Traces {
@@ -161,60 +283,27 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 	}
 
 	// Primary phase 1: deploy the DApps the traces and streams need.
-	contracts := map[string]Resource{}
-	deploy := func(name string) error {
-		if _, done := contracts[name]; done {
-			return nil
-		}
-		r, err := bc.CreateResource(ResourceSpec{Kind: ResourceContract, Name: name})
-		if err != nil {
-			return err
-		}
-		contracts[name] = r
-		return nil
+	wl, err := newWorkload(bc, &spec)
+	if err != nil {
+		return nil, err
 	}
-	emptyRun := func(err error) (*Result, error) {
+	if wl.deployErr != nil {
 		// The chain cannot express this DApp (state-model limits):
 		// record and report an empty run, as the paper does.
-		res.DeployErr = err
+		res.DeployErr = wl.deployErr
 		res.Summary = stats.Summarize(nil, dur)
 		res.SubmittedPerSec = stats.NewTimeSeries(time.Second, dur)
 		res.CommittedPerSec = stats.NewTimeSeries(time.Second, dur)
 		return res, nil
 	}
-	dappOf := make([]*dapps.DApp, len(spec.Traces))
-	for i, tr := range spec.Traces {
-		if tr.DApp == "" {
-			continue
-		}
-		d, err := dapps.Get(tr.DApp)
-		if err != nil {
-			return nil, err
-		}
-		dappOf[i] = d
-		if err := deploy(tr.DApp); err != nil {
-			return emptyRun(err)
-		}
-	}
-	for _, src := range spec.Streams {
-		if src.DApp() == "" {
-			continue
-		}
-		if _, err := dapps.Get(src.DApp()); err != nil {
-			return nil, err
-		}
-		if err := deploy(src.DApp()); err != nil {
-			return emptyRun(err)
-		}
-	}
 
-	// Primary phase 2: create the Secondaries' clients, one per Secondary,
-	// collocated per the placement (default: endpoint i mod |E|).
+	// Primary phase 2: create the Secondaries' clients, one per endpoint,
+	// collocated per the placement (default: endpoint i for Secondary i).
 	placement := spec.Placement
 	if len(placement) == 0 {
 		placement = endpoints
 	}
-	clients := make([]Client, spec.Secondaries)
+	clients := make([]Client, len(endpoints))
 	for i := range clients {
 		c, err := bc.CreateClient([]Endpoint{placement[i%len(placement)]})
 		if err != nil {
@@ -225,11 +314,7 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 
 	// Result collection: records indexed by global submission order; the
 	// global index rides along as the trigger token.
-	total := 0
-	for _, tr := range spec.Traces {
-		total += tr.Total()
-	}
-	res.Records = make([]stats.TxRecord, total)
+	res.Records = make([]stats.TxRecord, wl.total)
 	for i := range res.Records {
 		res.Records[i].Commit = -1
 	}
@@ -266,59 +351,19 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 		})
 	}
 
-	// Primary phase 3: schedule the workload, batched per 50ms window to
-	// bound event count. Encoding (including signing) happens inside the
-	// window event, modeling Secondaries pre-signing just ahead of the
-	// send schedule.
+	// Primary phase 3: schedule the workload, one event per batch window.
+	// Encoding (including signing) happens inside the window event,
+	// modeling Secondaries pre-signing just ahead of the send schedule.
 	tokens := &recordTokens{}
-	windows := map[int64][]submission{}
-	globalBase := int32(0)
-	for ti, tr := range spec.Traces {
-		ti32, base := int32(ti), globalBase
-		tr.ForEach(func(idx int, at time.Duration) {
-			w := int64(at / batchWindow)
-			windows[w] = append(windows[w], submission{at: at, trace: ti32, global: base + int32(idx)})
-		})
-		globalBase += int32(tr.Total())
-	}
-	// Windows are scheduled in sorted order: each window has a distinct
-	// timestamp, so map order would not change behavior, but scheduling
-	// from map iteration would randomize event sequence numbers and break
-	// checkpoint queue digests (internal/snapshot).
-	wkeys := make([]int64, 0, len(windows))
-	for w := range windows {
-		wkeys = append(wkeys, w)
-	}
-	sort.Slice(wkeys, func(i, j int) bool { return wkeys[i] < wkeys[j] })
-	for _, w := range wkeys {
-		subs := windows[w]
+	for _, w := range wl.keys {
+		subs := wl.windows[w]
 		sched.AtKind(sim.KindSubmission, time.Duration(w)*batchWindow, func() {
 			for _, s := range subs {
-				tr := spec.Traces[s.trace]
-				worker := int(s.global) % spec.Secondaries
-				var ispec InteractionSpec
-				if tr.DApp == "" {
-					ispec = InteractionSpec{
-						Kind:   InteractTransfer,
-						From:   int(s.global) % spec.Accounts,
-						To:     (int(s.global) + 1) % spec.Accounts,
-						Amount: 1,
-					}
-				} else {
-					d := dappOf[s.trace]
-					ispec = InteractionSpec{
-						Kind:           InteractInvoke,
-						From:           int(s.global) % spec.Accounts,
-						Contract:       contracts[tr.DApp],
-						Function:       tr.Func,
-						Args:           d.ArgGen(rng, tr.Func),
-						ExtraDataBytes: d.DataBytes,
-					}
-				}
+				worker := int(s.global) % len(clients)
 				res.Records[s.global].Submit = sched.Now()
 				res.SubmittedPerSec.Add(sched.Now())
 				spec.Metrics.Submitted.Inc()
-				e, err := clients[worker].Encode(ispec)
+				e, err := wl.encode(clients[worker], s)
 				if err != nil {
 					res.Records[s.global].Aborted = true
 					res.AbortedExec++
@@ -343,7 +388,7 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 			spec:     &spec,
 			clients:  clients,
 			tokens:   tokens,
-			contract: contracts[src.DApp()],
+			contract: wl.contracts[src.DApp()],
 		}
 		p.start()
 	}
@@ -353,6 +398,37 @@ func Run(sched *sim.Scheduler, bc Blockchain, spec BenchmarkSpec) (*Result, erro
 
 	res.Summary = stats.Summarize(res.Records, dur)
 	return res, nil
+}
+
+// Presign encodes every trace submission of spec exactly as Run would —
+// the same contracts, global order, senders, nonces and argument draws —
+// without running anything, and hands each to emit with its global index
+// and the virtual time Run submits it at. A remote Secondary derives its
+// share of a distributed run through it (internal/remote). A chain that
+// cannot deploy one of the DApps yields nothing, since its run is empty,
+// and a submission that fails to encode is skipped, as Run records it
+// aborted without sending it.
+func Presign(bc Blockchain, spec BenchmarkSpec, emit func(global int, at time.Duration, e Interaction) error) error {
+	wl, err := newWorkload(bc, &spec)
+	if err != nil || wl.deployErr != nil {
+		return err
+	}
+	c, err := bc.CreateClient(bc.Endpoints()[:1])
+	if err != nil {
+		return err
+	}
+	for _, w := range wl.keys {
+		for _, s := range wl.windows[w] {
+			e, err := c.Encode(wl.interaction(s))
+			if err != nil {
+				continue
+			}
+			if err := emit(int(s.global), time.Duration(w)*batchWindow, e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // duration returns the longest trace duration.

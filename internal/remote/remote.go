@@ -2,20 +2,25 @@
 // over real TCP: a single Primary coordinates the experiment and multiple
 // Secondaries pre-sign and contribute the workload.
 //
-// Protocol (newline-delimited JSON):
+// Protocol (newline-delimited JSON, at most maxFrame bytes a frame):
 //
 //  1. Each Secondary connects and sends hello{location}.
-//  2. The Primary parses the benchmark and blockchain configuration files,
-//     deploys the DApps, splits the workload between the Secondaries (the
-//     mapping function M) and sends each an assign message.
-//  3. Each Secondary derives its account share, pre-signs its transactions
-//     (the Secondaries' job in the paper) and streams them back with their
-//     submission schedule, ending with done.
-//  4. The Primary injects every transaction into the system under test at
-//     its scheduled time, runs the benchmark, and returns each Secondary
-//     its per-transaction results; Secondaries acknowledge with their
-//     local statistics.
-//  5. The Primary aggregates everything into the result JSON.
+//  2. The Primary sends Secondary i of k an assign message carrying the
+//     setup and workload documents.
+//  3. Each Secondary builds the experiment from the two documents
+//     (bench.FromSpec) and derives its transactions exactly as the
+//     in-process run encodes them (bench.Presign): the same wallet,
+//     contracts, global order, senders, nonces and argument draws. It
+//     signs the globals g with g mod k == i (the Secondaries' job in the
+//     paper) and streams them back with their submission times, ending
+//     with done.
+//  4. The Primary verifies every upload and runs the experiment with
+//     bench.Run, the uploads taking the place of in-process encoding: how
+//     the mapping function M splits the work decides who signs, never what
+//     is submitted. Faults, invariants, retries and placement apply as in
+//     `diablo run`.
+//  5. The Primary returns each Secondary its per-transaction results;
+//     Secondaries acknowledge with their local statistics.
 //
 // The system under test is the simulated blockchain network (the
 // substitution documented in DESIGN.md); the framework machinery —
@@ -28,21 +33,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
-	"sort"
 	"syscall"
 	"time"
 
 	"diablo/internal/bench"
-	"diablo/internal/chains"
-	"diablo/internal/chains/chain"
-	"diablo/internal/dapps"
-	"diablo/internal/sim"
-	"diablo/internal/simnet"
+	"diablo/internal/core"
 	"diablo/internal/spec"
-	"diablo/internal/stats"
 	"diablo/internal/types"
 	"diablo/internal/wallet"
 )
@@ -54,15 +51,12 @@ type Message struct {
 	// hello
 	Location string `json:"location,omitempty"`
 
-	// assign
-	Secondary   int               `json:"secondary,omitempty"`
-	Total       int               `json:"total,omitempty"`
-	Chain       string            `json:"chain,omitempty"`
-	Benchmark   string            `json:"benchmark,omitempty"` // workload YAML
-	Namespace   string            `json:"namespace,omitempty"`
-	Contracts   map[string]string `json:"contracts,omitempty"` // dapp -> hex address
-	GasLimit    uint64            `json:"gas_limit,omitempty"`
-	AccountsPer int               `json:"accounts_per,omitempty"`
+	// assign: the Secondary's index among Total, and the setup and
+	// workload documents the experiment is built from
+	Secondary int    `json:"secondary,omitempty"`
+	Total     int    `json:"total,omitempty"`
+	Setup     string `json:"setup,omitempty"`
+	Benchmark string `json:"benchmark,omitempty"`
 
 	// tx
 	Tx *WireTx `json:"tx,omitempty"`
@@ -72,13 +66,10 @@ type Message struct {
 
 	// stats (secondary -> primary acknowledgement)
 	Stats *SecondaryStats `json:"stats,omitempty"`
-
-	// error
-	Error string `json:"error,omitempty"`
 }
 
-// WireTx is one pre-signed transaction with its submission schedule. Sig
-// is a real wallet.FastScheme signature over the signing bytes.
+// WireTx is one pre-signed transaction with its submission time. Sig is a
+// real wallet.FastScheme signature over the signing bytes.
 type WireTx struct {
 	Global   int    `json:"global"`
 	AtNs     int64  `json:"at_ns"`
@@ -94,9 +85,9 @@ type WireTx struct {
 	PubKey   []byte `json:"pubkey"`
 }
 
-// newWireTx wraps a transaction for upload with its global index, its
-// submission time and its wire signature.
-func newWireTx(tx *types.Transaction, global int, at time.Duration, sig []byte) *WireTx {
+// newWireTx wraps a signed transaction for upload with its global index and
+// its submission time.
+func newWireTx(tx *types.Transaction, global int, at time.Duration) *WireTx {
 	return &WireTx{
 		Global:   global,
 		AtNs:     int64(at),
@@ -108,9 +99,30 @@ func newWireTx(tx *types.Transaction, global int, at time.Duration, sig []byte) 
 		Gas:      tx.GasLimit,
 		GasPrice: tx.GasPrice,
 		Data:     tx.Data,
-		Sig:      sig,
+		Sig:      tx.Sig,
 		PubKey:   tx.PubKey,
 	}
+}
+
+// transaction rebuilds the uploaded transaction. It does not check the
+// signature (wallet.VerifyTx does).
+func (wt *WireTx) transaction() (*types.Transaction, error) {
+	if len(wt.From) != types.AddressSize || len(wt.To) != types.AddressSize {
+		return nil, fmt.Errorf("remote: addresses of %d and %d bytes, want %d", len(wt.From), len(wt.To), types.AddressSize)
+	}
+	tx := &types.Transaction{
+		Kind:     types.TxKind(wt.Kind),
+		Nonce:    wt.Nonce,
+		Value:    wt.Value,
+		GasLimit: wt.Gas,
+		GasPrice: wt.GasPrice,
+		Data:     wt.Data,
+		Sig:      wt.Sig,
+		PubKey:   wt.PubKey,
+	}
+	copy(tx.From[:], wt.From)
+	copy(tx.To[:], wt.To)
+	return tx, nil
 }
 
 // WireResult is the per-transaction outcome returned to its Secondary.
@@ -128,6 +140,18 @@ type SecondaryStats struct {
 	Committed int     `json:"committed"`
 	AvgLatS   float64 `json:"avg_latency_s"`
 }
+
+// maxFrame bounds one wire frame, so a peer cannot make a reader buffer
+// without limit. The largest legitimate frame is the assign message, which
+// carries both spec documents: the ones in specs/ are under 2 KB, and a
+// workload with a load point for every second of a day is about 1.5 MB
+// once JSON-escaped. A tx frame is under 1 KB (at most 300 bytes of DApp
+// payload, base64-coded), and results travel resultBatch to a frame.
+const maxFrame = 4 << 20
+
+// resultBatch caps the results one frame carries (each is under 100 bytes
+// of JSON). A frame with fewer ends a Secondary's results.
+const resultBatch = 4096
 
 // dialWait bounds how long a Secondary retries a refused connection, since
 // it may start before its Primary listens; helloWait bounds how long the
@@ -152,15 +176,16 @@ func dial(addr string) (net.Conn, error) {
 }
 
 type conn struct {
-	c   net.Conn
-	enc *json.Encoder
-	dec *json.Decoder
-	bw  *bufio.Writer
+	c     net.Conn
+	enc   *json.Encoder
+	bw    *bufio.Writer
+	br    *bufio.Reader
+	frame []byte // the frame being read, reused across recv calls
 }
 
 func newConn(c net.Conn) *conn {
 	bw := bufio.NewWriterSize(c, 1<<16)
-	return &conn{c: c, enc: json.NewEncoder(bw), dec: json.NewDecoder(bufio.NewReaderSize(c, 1<<16)), bw: bw}
+	return &conn{c: c, enc: json.NewEncoder(bw), bw: bw, br: bufio.NewReaderSize(c, 1<<16)}
 }
 
 func (c *conn) send(m *Message) error {
@@ -170,10 +195,26 @@ func (c *conn) send(m *Message) error {
 	return c.bw.Flush()
 }
 
+// recv reads and decodes one frame, refusing one longer than maxFrame
+// before buffering past the bound.
 func (c *conn) recv() (*Message, error) {
+	c.frame = c.frame[:0]
+	for {
+		chunk, err := c.br.ReadSlice('\n')
+		if len(c.frame)+len(chunk) > maxFrame {
+			return nil, fmt.Errorf("remote: frame from %s exceeds %d bytes", c.c.RemoteAddr(), maxFrame)
+		}
+		c.frame = append(c.frame, chunk...)
+		if err == nil {
+			break
+		}
+		if err != bufio.ErrBufferFull {
+			return nil, err
+		}
+	}
 	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return nil, err
+	if err := json.Unmarshal(c.frame, &m); err != nil {
+		return nil, fmt.Errorf("remote: bad frame from %s: %w", c.c.RemoteAddr(), err)
 	}
 	return &m, nil
 }
@@ -184,25 +225,17 @@ type PrimaryConfig struct {
 	Listen string
 	// Secondaries is how many must connect before the benchmark starts.
 	Secondaries int
-	// Setup and Benchmark are the two parsed configuration documents;
-	// BenchmarkYAML is the benchmark document's raw text, forwarded to
-	// Secondaries so they derive their shares from the same source.
-	Setup         *spec.Setup
-	Benchmark     *spec.Benchmark
+	// Experiment is the run as bench.FromSpec builds it from the two
+	// documents below. Callers may arm observers on it (trace, spans,
+	// metrics, checkpoints); its Uploads are the Secondaries' to fill.
+	Experiment bench.Experiment
+	// SetupYAML and BenchmarkYAML are the raw setup and workload
+	// documents, forwarded to every Secondary so that it derives its share
+	// from the same source.
+	SetupYAML     string
 	BenchmarkYAML string
 	// Log receives progress lines (may be nil).
 	Log func(format string, args ...any)
-}
-
-// PrimaryResult is the aggregated outcome.
-type PrimaryResult struct {
-	Records   []stats.TxRecord
-	Summary   stats.Summary
-	Dropped   int
-	Aborted   int
-	Stats     []SecondaryStats
-	Chain     string
-	Workloads []string
 }
 
 func (p *PrimaryConfig) logf(format string, args ...any) {
@@ -211,259 +244,164 @@ func (p *PrimaryConfig) logf(format string, args ...any) {
 	}
 }
 
-// RunPrimary executes the full Primary lifecycle and returns the
-// aggregated results.
-func RunPrimary(cfg PrimaryConfig) (*PrimaryResult, error) {
-	if cfg.Secondaries <= 0 {
-		return nil, fmt.Errorf("remote: need at least one secondary")
+// RunPrimary executes the full Primary lifecycle and returns the run's
+// outcome and the statistics each Secondary acknowledged.
+func RunPrimary(cfg PrimaryConfig) (*bench.Outcome, []SecondaryStats, error) {
+	k := cfg.Secondaries
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("remote: need at least one secondary")
+	}
+	exp := cfg.Experiment
+	if len(exp.Streams) > 0 {
+		return nil, nil, fmt.Errorf("remote: the workload's stream: section cannot be presigned by Secondaries; run it with diablo run")
+	}
+	total := 0
+	for _, tr := range exp.Traces {
+		total += tr.Total()
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer ln.Close()
-	cfg.logf("primary listening on %s, waiting for %d secondaries", ln.Addr(), cfg.Secondaries)
-
-	// Phase 0: deploy the simulated system under test.
-	params, err := chains.ParamsFor(cfg.Setup.Chain)
-	if err != nil {
-		return nil, err
-	}
-	deployment := cfg.Setup.Config
-	if cfg.Setup.NodeScale > 1 {
-		deployment = deployment.Scaled(cfg.Setup.NodeScale)
-	}
-	sched := sim.NewScheduler(cfg.Setup.Seed)
-	wan := simnet.New(sched)
-	net0 := chain.Deploy(sched, wan, params, chain.Deployment{
-		Nodes: deployment.Nodes, VCPUs: deployment.VCPUs, Regions: deployment.Regions,
-	})
-	net0.Exec.CacheAfter = bench.DefaultCacheAfter
-
-	deployer := wallet.NewAccount(wallet.FastScheme{}, []byte("diablo-primary-deployer"))
-	contracts := map[string]string{}
-	contractAddr := map[string]types.Address{}
-	for _, wl := range cfg.Benchmark.Workloads {
-		for _, beh := range wl.Behaviors {
-			if !beh.Invoke {
-				continue
-			}
-			if _, done := contracts[beh.DApp]; done {
-				continue
-			}
-			d, err := dapps.Get(beh.DApp)
-			if err != nil {
-				return nil, err
-			}
-			c, err := net0.Exec.DeployDApp(deployer.Address, d)
-			if err != nil {
-				return nil, fmt.Errorf("remote: deploying %s: %w", beh.DApp, err)
-			}
-			contracts[beh.DApp] = c.Address.String()
-			contractAddr[beh.DApp] = c.Address
-			cfg.logf("deployed %s at %s", beh.DApp, c.Address)
-		}
-	}
+	cfg.logf("primary listening on %s, waiting for %d secondaries", ln.Addr(), k)
 
 	// Phase 1: registration.
-	conns := make([]*conn, 0, cfg.Secondaries)
-	locations := make([]string, 0, cfg.Secondaries)
-	for len(conns) < cfg.Secondaries {
+	conns := make([]*conn, 0, k)
+	defer func() {
+		for _, c := range conns {
+			c.c.Close()
+		}
+	}()
+	for len(conns) < k {
 		c, err := ln.Accept()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cc := newConn(c)
 		// A peer that connects and stays silent fails registration instead
 		// of holding it forever.
 		if err := c.SetReadDeadline(time.Now().Add(helloWait)); err != nil {
 			c.Close()
-			return nil, fmt.Errorf("remote: hello deadline: %w", err)
+			return nil, nil, fmt.Errorf("remote: hello deadline: %w", err)
 		}
 		hello, err := cc.recv()
 		if err != nil {
 			c.Close()
-			return nil, fmt.Errorf("remote: no hello from %s: %w", c.RemoteAddr(), err)
+			return nil, nil, fmt.Errorf("remote: no hello from %s: %w", c.RemoteAddr(), err)
 		}
 		if hello.Type != "hello" {
 			c.Close()
-			return nil, fmt.Errorf("remote: expected hello from %s, got %q", c.RemoteAddr(), hello.Type)
+			return nil, nil, fmt.Errorf("remote: expected hello from %s, got %q", c.RemoteAddr(), hello.Type)
 		}
 		if err := c.SetReadDeadline(time.Time{}); err != nil {
 			c.Close()
-			return nil, fmt.Errorf("remote: clearing hello deadline: %w", err)
+			return nil, nil, fmt.Errorf("remote: clearing hello deadline: %w", err)
 		}
 		conns = append(conns, cc)
-		locations = append(locations, hello.Location)
 		cfg.logf("secondary %d connected from %s (tag %q)", len(conns)-1, c.RemoteAddr(), hello.Location)
 	}
-	defer func() {
-		for _, c := range conns {
-			c.c.Close()
-		}
-	}()
 
 	// Phase 2: dispatch assignments.
-	accounts := cfg.Benchmark.Accounts()
-	perSecondary := accounts / cfg.Secondaries
-	if perSecondary == 0 {
-		perSecondary = 1
-	}
 	for i, c := range conns {
-		msg := &Message{
-			Type:        "assign",
-			Secondary:   i,
-			Total:       cfg.Secondaries,
-			Chain:       cfg.Setup.Chain,
-			Benchmark:   "", // spec travels pre-parsed via the schedule below
-			Namespace:   fmt.Sprintf("remote-%s-%d", cfg.Setup.Chain, cfg.Setup.Seed),
-			Contracts:   contracts,
-			GasLimit:    params.DefaultGasLimit,
-			AccountsPer: perSecondary,
-		}
-		msg.Benchmark = cfg.BenchmarkYAML
+		msg := &Message{Type: "assign", Secondary: i, Total: k, Setup: cfg.SetupYAML, Benchmark: cfg.BenchmarkYAML}
 		if err := c.send(msg); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	// Phase 3: receive pre-signed transactions.
-	type scheduled struct {
-		tx     *types.Transaction
-		at     time.Duration
-		global int
-		sec    int
-	}
-	var all []scheduled
+	// Phase 3: receive and verify the pre-signed transactions. Secondary i
+	// owns the globals g with g mod k == i.
+	uploads := make([]core.Interaction, total)
 	for i, c := range conns {
+		n := 0
 		for {
 			m, err := c.recv()
 			if err != nil {
-				return nil, fmt.Errorf("remote: secondary %d: %w", i, err)
+				return nil, nil, fmt.Errorf("remote: secondary %d: %w", i, err)
 			}
 			if m.Type == "done" {
 				break
 			}
 			if m.Type != "tx" || m.Tx == nil {
-				return nil, fmt.Errorf("remote: secondary %d sent %q during workload upload", i, m.Type)
+				return nil, nil, fmt.Errorf("remote: secondary %d sent %q during workload upload", i, m.Type)
 			}
-			wt := m.Tx
-			tx := &types.Transaction{
-				Kind:     types.TxKind(wt.Kind),
-				Nonce:    wt.Nonce,
-				Value:    wt.Value,
-				GasLimit: wt.Gas,
-				GasPrice: wt.GasPrice,
-				Data:     wt.Data,
-				Sig:      wt.Sig,
-				PubKey:   wt.PubKey,
+			g := m.Tx.Global
+			switch {
+			case g < 0 || g >= total || g%k != i:
+				return nil, nil, fmt.Errorf("remote: secondary %d uploaded transaction %d, which is not in its share", i, g)
+			case uploads[g] != nil:
+				return nil, nil, fmt.Errorf("remote: secondary %d uploaded transaction %d twice", i, g)
 			}
-			copy(tx.From[:], wt.From)
-			copy(tx.To[:], wt.To)
-			if err := wallet.VerifyTx(wallet.FastScheme{}, tx); err != nil {
-				return nil, fmt.Errorf("remote: secondary %d: transaction %d: %w", i, wt.Global, err)
+			tx, err := m.Tx.transaction()
+			if err == nil {
+				err = wallet.VerifyTx(wallet.FastScheme{}, tx)
 			}
-			all = append(all, scheduled{tx: tx, at: time.Duration(wt.AtNs), global: wt.Global, sec: i})
-		}
-		cfg.logf("secondary %d uploaded its share (%d transactions so far)", i, len(all))
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].at < all[j].at })
-
-	// Phase 4: run the benchmark on virtual time. Each scheduled
-	// transaction submits through a client collocated with an endpoint
-	// chosen by the sender's Secondary (the M function: secondary i talks
-	// to endpoint i mod |E|).
-	records := make([]stats.TxRecord, len(all))
-	commitAt := make([]time.Duration, len(all))
-	statuses := make([]types.ExecStatus, len(all))
-	for i := range records {
-		records[i].Commit = -1
-		commitAt[i] = -1
-	}
-	clients := make([]*chain.Client, cfg.Secondaries)
-	droppedCount := 0
-	for i := range clients {
-		clients[i] = net0.NewClient(i % len(net0.Nodes))
-	}
-	// Each submission's token is its index into all.
-	for i := range clients {
-		clients[i].OnDecided = func(s chain.Submission, status types.ExecStatus, at time.Duration) {
-			k := s.Token.(int)
-			commitAt[k] = at
-			statuses[k] = status
-		}
-		clients[i].OnDropped = func(chain.Submission, error, time.Duration) {
-			droppedCount++
-		}
-	}
-	net0.Start()
-	var maxAt time.Duration
-	for i := range all {
-		s := all[i]
-		k := i
-		records[k].Submit = s.at
-		if s.at > maxAt {
-			maxAt = s.at
-		}
-		sched.AtKind(sim.KindSubmission, s.at, func() { clients[s.sec].Submit(s.tx, k) })
-	}
-	cfg.logf("starting benchmark: %d transactions over %s of virtual time", len(all), maxAt.Round(time.Second))
-	sched.RunUntil(maxAt + 120*time.Second)
-	net0.Stop()
-
-	for i := range records {
-		if commitAt[i] >= 0 {
-			records[i].Commit = commitAt[i]
-			if statuses[i] != types.StatusOK {
-				records[i].Aborted = true
+			if err != nil {
+				return nil, nil, fmt.Errorf("remote: secondary %d: transaction %d: %w", i, g, err)
 			}
+			// Fix the ID before the run, as sealing does in process: the
+			// lanes of a parallel block read it concurrently.
+			tx.ID()
+			uploads[g] = tx
+			n++
 		}
+		cfg.logf("secondary %d uploaded %d of %d transactions", i, n, total)
 	}
 
-	// Phase 5: return per-secondary results and collect their stats.
-	res := &PrimaryResult{
-		Records: records,
-		Dropped: droppedCount,
-		Chain:   cfg.Setup.Chain,
+	// Phase 4: run the experiment on the uploads.
+	exp.Uploads = uploads
+	out, err := bench.Run(exp)
+	if err != nil {
+		return nil, nil, err
 	}
-	perSec := make([][]WireResult, cfg.Secondaries)
-	for i, s := range all {
-		wr := WireResult{Global: s.global, CommitS: -1, Status: "pending"}
-		if records[i].Committed() {
-			wr.CommitS = records[i].Commit.Seconds()
+
+	// Phase 5: return per-secondary results and collect their stats. An
+	// empty run (a DApp the chain cannot deploy) has no records.
+	perSec := make([][]WireResult, k)
+	for g, r := range out.Records {
+		if uploads[g] == nil {
+			continue
+		}
+		wr := WireResult{Global: g, CommitS: -1, Status: "pending"}
+		if r.Committed() {
+			wr.CommitS = r.Commit.Seconds()
 			wr.Status = "committed"
-		} else if records[i].Aborted {
+		} else if r.Aborted {
 			wr.Status = "aborted"
 		}
-		perSec[s.sec] = append(perSec[s.sec], wr)
+		perSec[g%k] = append(perSec[g%k], wr)
 	}
+	secStats := make([]SecondaryStats, 0, k)
 	for i, c := range conns {
-		if err := c.send(&Message{Type: "result", Results: perSec[i]}); err != nil {
-			return nil, err
+		rest := perSec[i]
+		for {
+			n := min(len(rest), resultBatch)
+			if err := c.send(&Message{Type: "result", Results: rest[:n]}); err != nil {
+				return nil, nil, err
+			}
+			rest = rest[n:]
+			if n < resultBatch {
+				break
+			}
 		}
 		// A Secondary acks its results at once; one that never does fails
 		// the run instead of holding the Primary forever.
 		if err := c.c.SetReadDeadline(time.Now().Add(helloWait)); err != nil {
-			return nil, fmt.Errorf("remote: stats deadline: %w", err)
+			return nil, nil, fmt.Errorf("remote: stats deadline: %w", err)
 		}
 		m, err := c.recv()
 		switch {
 		case err != nil:
-			return nil, fmt.Errorf("remote: no stats ack from secondary %d: %w", i, err)
+			return nil, nil, fmt.Errorf("remote: no stats ack from secondary %d: %w", i, err)
 		case m.Type != "stats":
-			return nil, fmt.Errorf("remote: secondary %d: expected stats, got %q", i, m.Type)
+			return nil, nil, fmt.Errorf("remote: secondary %d: expected stats, got %q", i, m.Type)
 		case m.Stats == nil:
-			return nil, fmt.Errorf("remote: secondary %d: stats missing", i)
+			return nil, nil, fmt.Errorf("remote: secondary %d: stats missing", i)
 		}
-		res.Stats = append(res.Stats, *m.Stats)
+		secStats = append(secStats, *m.Stats)
 	}
-	res.Summary = stats.Summarize(records, maxAt.Round(time.Second))
-	for _, r := range records {
-		if r.Aborted {
-			res.Aborted++
-		}
-	}
-	return res, nil
+	return out, secStats, nil
 }
 
 // SecondaryConfig configures one Secondary process.
@@ -499,119 +437,59 @@ func RunSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if assign.Type == "error" {
-		return nil, fmt.Errorf("remote: primary rejected: %s", assign.Error)
-	}
 	if assign.Type != "assign" {
 		return nil, fmt.Errorf("remote: expected assign, got %q", assign.Type)
 	}
-	cfg.logf("assigned share %d/%d on %s", assign.Secondary, assign.Total, assign.Chain)
-
+	if assign.Total <= 0 || assign.Secondary < 0 || assign.Secondary >= assign.Total {
+		return nil, fmt.Errorf("remote: assigned share %d of %d", assign.Secondary, assign.Total)
+	}
+	setup, err := spec.ParseSetup(assign.Setup)
+	if err != nil {
+		return nil, fmt.Errorf("remote: parsing setup: %w", err)
+	}
 	benchmark, err := spec.ParseBenchmark(assign.Benchmark)
 	if err != nil {
 		return nil, fmt.Errorf("remote: parsing benchmark: %w", err)
 	}
-	traces, err := benchmark.Traces()
+	exp, err := bench.FromSpec(setup, benchmark)
 	if err != nil {
 		return nil, err
 	}
-	// Disjoint account shares: each Secondary derives its own namespace.
-	w := wallet.New(wallet.FastScheme{}, fmt.Sprintf("%s/%d", assign.Namespace, assign.Secondary), assign.AccountsPer)
-	rng := rand.New(rand.NewSource(int64(assign.Secondary) + 42))
+	cfg.logf("assigned share %d/%d on %s", assign.Secondary, assign.Total, setup.Chain)
 
-	// Pre-sign and stream this Secondary's share: every transaction whose
-	// global index is ours modulo the secondary count.
-	sent := 0
-	globalBase := 0
+	// Pre-sign and stream this Secondary's share.
 	sentAt := make(map[int]float64)
-	for _, tr := range traces {
-		var d *dapps.DApp
-		var contractTo types.Address
-		if tr.DApp != "" {
-			d, err = dapps.Get(tr.DApp)
-			if err != nil {
-				return nil, err
-			}
-			addrHex, ok := assign.Contracts[tr.DApp]
-			if !ok {
-				return nil, fmt.Errorf("remote: primary did not deploy %q", tr.DApp)
-			}
-			contractTo, err = parseAddress(addrHex)
-			if err != nil {
-				return nil, err
-			}
-		}
-		base := globalBase
-		var sendErr error
-		tr.ForEach(func(idx int, at time.Duration) {
-			if sendErr != nil {
-				return
-			}
-			global := base + idx
-			if global%assign.Total != assign.Secondary {
-				return
-			}
-			acct := w.Get(global % w.Len())
-			var tx *types.Transaction
-			if tr.DApp == "" {
-				tx = &types.Transaction{
-					Kind:     types.KindTransfer,
-					To:       w.Get((global + 1) % w.Len()).Address,
-					Value:    1,
-					GasLimit: 21000,
-					// Pre-signed transactions cannot track the base fee;
-					// overprice generously (the pre-signing trade-off the
-					// paper describes for London chains).
-					GasPrice: 1 << 30,
-				}
-			} else {
-				compiled, _ := d.Compile()
-				args := d.ArgGen(rng, tr.Func)
-				calldata, err := compiled.Calldata(tr.Func, args...)
-				if err != nil {
-					sendErr = err
-					return
-				}
-				tx = &types.Transaction{
-					Kind:     types.KindInvoke,
-					To:       contractTo,
-					GasLimit: assign.GasLimit,
-					GasPrice: 1 << 30,
-					Data:     chain.EncodeInvokeData(calldata, d.DataBytes),
-				}
-			}
-			acct.SignNext(tx)
-			wt := newWireTx(tx, global, at, acct.WireSig(tx))
-			if err := cc.send(&Message{Type: "tx", Tx: wt}); err != nil {
-				sendErr = err
-				return
-			}
-			sentAt[global] = at.Seconds()
-			sent++
-		})
-		if sendErr != nil {
-			return nil, sendErr
-		}
-		globalBase += tr.Total()
+	mine := func(g int) bool { return g%assign.Total == assign.Secondary }
+	err = bench.Presign(exp, mine, func(g int, at time.Duration, tx *types.Transaction) error {
+		sentAt[g] = at.Seconds()
+		return cc.send(&Message{Type: "tx", Tx: newWireTx(tx, g, at)})
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := cc.send(&Message{Type: "done"}); err != nil {
 		return nil, err
 	}
-	cfg.logf("uploaded %d pre-signed transactions; waiting for results", sent)
+	cfg.logf("uploaded %d pre-signed transactions; waiting for results", len(sentAt))
 
-	results, err := cc.recv()
-	if err != nil {
-		return nil, err
-	}
-	if results.Type != "result" {
-		return nil, fmt.Errorf("remote: expected result, got %q", results.Type)
-	}
-	st := &SecondaryStats{Location: cfg.Location, Sent: sent}
+	st := &SecondaryStats{Location: cfg.Location, Sent: len(sentAt)}
 	var latSum float64
-	for _, r := range results.Results {
-		if r.Status == "committed" {
-			st.Committed++
-			latSum += r.CommitS - sentAt[r.Global]
+	for {
+		results, err := cc.recv()
+		if err != nil {
+			return nil, err
+		}
+		if results.Type != "result" {
+			return nil, fmt.Errorf("remote: expected result, got %q", results.Type)
+		}
+		for _, r := range results.Results {
+			if r.Status == "committed" {
+				st.Committed++
+				latSum += r.CommitS - sentAt[r.Global]
+			}
+		}
+		if len(results.Results) < resultBatch {
+			break
 		}
 	}
 	if st.Committed > 0 {
@@ -621,32 +499,4 @@ func RunSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-func parseAddress(hex string) (types.Address, error) {
-	var a types.Address
-	if len(hex) != 2+2*types.AddressSize || hex[:2] != "0x" {
-		return a, fmt.Errorf("remote: bad address %q", hex)
-	}
-	for i := 0; i < types.AddressSize; i++ {
-		hi, err1 := hexNibble(hex[2+2*i])
-		lo, err2 := hexNibble(hex[3+2*i])
-		if err1 != nil || err2 != nil {
-			return a, fmt.Errorf("remote: bad address %q", hex)
-		}
-		a[i] = hi<<4 | lo
-	}
-	return a, nil
-}
-
-func hexNibble(c byte) (byte, error) {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0', nil
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10, nil
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10, nil
-	}
-	return 0, io.ErrUnexpectedEOF
 }

@@ -1,15 +1,21 @@
 package remote
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"diablo/internal/bench"
+	"diablo/internal/chains/chain"
 	"diablo/internal/spec"
 	"diablo/internal/types"
 	"diablo/internal/wallet"
@@ -44,6 +50,42 @@ workloads:
             10: 0
 `
 
+// devnet is a setup document for the named chain at laptop scale.
+func devnet(chain string) string {
+	return "blockchain: " + chain + "\nconfiguration: devnet\nnode-scale: 2"
+}
+
+// experiment builds the run the two documents describe.
+func experiment(t *testing.T, setupSrc, benchSrc string) bench.Experiment {
+	t.Helper()
+	setup, err := spec.ParseSetup(setupSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchmark, err := spec.ParseBenchmark(benchSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := bench.FromSpec(setup, benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
+}
+
+// primaryConfig is a Primary on a free localhost port for the two
+// documents.
+func primaryConfig(t *testing.T, setupSrc, benchSrc string, secondaries int) PrimaryConfig {
+	t.Helper()
+	return PrimaryConfig{
+		Listen:        freePort(t),
+		Secondaries:   secondaries,
+		Experiment:    experiment(t, setupSrc, benchSrc),
+		SetupYAML:     setupSrc,
+		BenchmarkYAML: benchSrc,
+	}
+}
+
 // freePort reserves a TCP port for the test primary.
 func freePort(t *testing.T) string {
 	t.Helper()
@@ -56,22 +98,13 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// runDistributed spins up a primary and n secondaries over localhost TCP
-// on the named chain.
+// runDistributed runs the configured primary and its secondaries over
+// localhost TCP.
 // The secondaries start first, so their dials may be refused until the
 // primary listens.
-func runDistributed(t *testing.T, chainName, benchSrc string, secondaries int) (*PrimaryResult, []*SecondaryStats) {
+func runDistributed(t *testing.T, cfg PrimaryConfig) (*bench.Outcome, []*SecondaryStats) {
 	t.Helper()
-	setup, err := spec.ParseSetup("blockchain: " + chainName + "\nconfiguration: devnet\nnode-scale: 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	benchmark, err := spec.ParseBenchmark(benchSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := freePort(t)
-
+	secondaries := cfg.Secondaries
 	var wg sync.WaitGroup
 	secStats := make([]*SecondaryStats, secondaries)
 	secErrs := make([]error, secondaries)
@@ -81,20 +114,14 @@ func runDistributed(t *testing.T, chainName, benchSrc string, secondaries int) (
 		go func() {
 			defer wg.Done()
 			st, err := RunSecondary(SecondaryConfig{
-				Primary:  addr,
+				Primary:  cfg.Listen,
 				Location: fmt.Sprintf("zone-%d", i),
 			})
 			secStats[i], secErrs[i] = st, err
 		}()
 	}
 
-	res, err := RunPrimary(PrimaryConfig{
-		Listen:        addr,
-		Secondaries:   secondaries,
-		Setup:         setup,
-		Benchmark:     benchmark,
-		BenchmarkYAML: benchSrc,
-	})
+	out, acks, err := RunPrimary(cfg)
 	if err != nil {
 		t.Fatalf("primary: %v", err)
 	}
@@ -104,17 +131,109 @@ func runDistributed(t *testing.T, chainName, benchSrc string, secondaries int) (
 			t.Fatalf("secondary %d: %v", i, err)
 		}
 	}
-	return res, secStats
+	if len(acks) != secondaries {
+		t.Fatalf("primary collected %d stats from %d secondaries", len(acks), secondaries)
+	}
+	return out, secStats
+}
+
+// faultsYAML scales specs/setup-quorum-chaos.yaml to five nodes and the
+// ten seconds of transferYAML: a crash and restart, a partition, link loss
+// and delay, a straggler, client retries and the invariant monitors.
+const faultsYAML = `
+blockchain: quorum
+configuration: devnet
+node-scale: 2
+seed: 7
+retry: {timeout: 4s, max-retries: 3, backoff: 2}
+invariants: {horizon: 60s}
+faults:
+  - crash: {node: 3, at: 2s}
+  - restart: {node: 3, at: 6s}
+  - partition: {sides: "0-1 | 2-4", at: 8s, for: 4s}
+  - loss: {link: ohio<->mumbai, rate: 5%, at: 3s, for: 5s}
+  - delay: {link: all, extra: 100ms, jitter: 20ms, at: 4s, for: 4s}
+  - slow: {node: 1, factor: 3x, at: 5s, for: 3s}
+`
+
+// TestDistributedParity: the Primary and k Secondaries over loopback TCP
+// reproduce bench.Run's outcome on the same documents for every k — the
+// mapping function M decides who signs, never what is submitted. On the
+// EVM and the AVM (where the Secondaries' calldata must invoke the
+// AVM-compiled application) the digests equal the in-process run's, and
+// so do the lifecycle traces, which name every transaction by its ID; the
+// faulted cell's schedule must show in its outcome. Ethereum's blocks skip
+// transactions priced below the base fee, and presigned ones are
+// overpriced where the in-process ones track the fee, so there the k runs
+// agree with each other and all commit.
+func TestDistributedParity(t *testing.T) {
+	cells := []struct{ name, setup, bench string }{
+		{"quorum", devnet("quorum"), benchYAML},
+		{"algorand", devnet("algorand"), benchYAML},
+		{"quorum-faults", faultsYAML, transferYAML},
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			exp := experiment(t, c.setup, c.bench)
+			trace := sha256.New()
+			exp.Trace = trace
+			want, err := bench.Run(exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantTrace := trace.Sum(nil)
+			if want.Summary.Submitted != 100 || want.Summary.Committed != 100 || want.AbortedExec != 0 {
+				t.Fatalf("in process: committed %d/%d, %d aborted", want.Summary.Committed, want.Summary.Submitted, want.AbortedExec)
+			}
+			if exp.Faults != nil {
+				exp.Faults, exp.Retry, exp.Trace = nil, chain.RetryPolicy{}, nil
+				calm, err := bench.Run(exp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if calm.Digest() == want.Digest() || want.Retries == 0 {
+					t.Fatalf("the fault schedule leaves no trace (%d retries)", want.Retries)
+				}
+			}
+			for k := 1; k <= 3; k++ {
+				cfg := primaryConfig(t, c.setup, c.bench, k)
+				trace := sha256.New()
+				cfg.Experiment.Trace = trace
+				out, _ := runDistributed(t, cfg)
+				if got := out.Digest(); got != want.Digest() {
+					t.Errorf("k=%d: digest %s, in-process %s (committed %d/%d, in-process %d/%d)", k, got, want.Digest(),
+						out.Summary.Committed, out.Summary.Submitted, want.Summary.Committed, want.Summary.Submitted)
+				}
+				if !bytes.Equal(trace.Sum(nil), wantTrace) {
+					t.Errorf("k=%d: the lifecycle trace differs from the in-process run's", k)
+				}
+			}
+		})
+	}
+	t.Run("ethereum", func(t *testing.T) {
+		var first string
+		for k := 1; k <= 3; k++ {
+			out, _ := runDistributed(t, primaryConfig(t, devnet("ethereum"), transferYAML, k))
+			if out.Summary.Submitted != 100 || out.Summary.Committed != 100 {
+				t.Fatalf("k=%d: committed %d/%d (dropped %d)", k, out.Summary.Committed, out.Summary.Submitted, out.Dropped)
+			}
+			if k == 1 {
+				first = out.Digest()
+			} else if got := out.Digest(); got != first {
+				t.Errorf("k=%d: digest %s, k=1 %s", k, got, first)
+			}
+		}
+	})
 }
 
 func TestDistributedDAppBenchmark(t *testing.T) {
-	res, secStats := runDistributed(t, "quorum", benchYAML, 3)
+	out, secStats := runDistributed(t, primaryConfig(t, devnet("quorum"), benchYAML, 3))
 	// 2 clients x 5 TPS x 10s = 100 transactions.
-	if res.Summary.Submitted != 100 {
-		t.Fatalf("submitted = %d, want 100", res.Summary.Submitted)
+	if out.Summary.Submitted != 100 {
+		t.Fatalf("submitted = %d, want 100", out.Summary.Submitted)
 	}
-	if res.Summary.Committed != 100 {
-		t.Fatalf("committed = %d/100 (dropped %d)", res.Summary.Committed, res.Dropped)
+	if out.Summary.Committed != 100 {
+		t.Fatalf("committed = %d/100 (dropped %d)", out.Summary.Committed, out.Dropped)
 	}
 	totalSent := 0
 	for i, st := range secStats {
@@ -132,38 +251,39 @@ func TestDistributedDAppBenchmark(t *testing.T) {
 	if totalSent != 100 {
 		t.Fatalf("secondaries sent %d total, want 100", totalSent)
 	}
-	if len(res.Stats) != 3 {
-		t.Fatalf("primary collected %d stats", len(res.Stats))
-	}
 }
 
 func TestDistributedTransferBenchmark(t *testing.T) {
-	res, _ := runDistributed(t, "quorum", transferYAML, 2)
-	if res.Summary.Submitted != 100 {
-		t.Fatalf("submitted = %d", res.Summary.Submitted)
+	out, _ := runDistributed(t, primaryConfig(t, devnet("quorum"), transferYAML, 2))
+	if out.Summary.Submitted != 100 {
+		t.Fatalf("submitted = %d", out.Summary.Submitted)
 	}
-	if res.Summary.Committed != 100 {
-		t.Fatalf("committed = %d (dropped %d)", res.Summary.Committed, res.Dropped)
+	if out.Summary.Committed != 100 {
+		t.Fatalf("committed = %d (dropped %d)", out.Summary.Committed, out.Dropped)
 	}
-	if res.Summary.AvgLatency <= 0 {
+	if out.Summary.AvgLatency <= 0 {
 		t.Fatal("no latency")
 	}
 }
 
-// TestDistributedLondonChain runs the transfer benchmark on Ethereum, whose
-// blocks skip transactions priced below the base fee: the Secondaries'
-// gas price must reach the Primary for anything to commit.
-func TestDistributedLondonChain(t *testing.T) {
-	res, _ := runDistributed(t, "ethereum", transferYAML, 2)
-	if res.Summary.Submitted != 100 || res.Summary.Committed != 100 {
-		t.Fatalf("committed %d/%d on ethereum (dropped %d)", res.Summary.Committed, res.Summary.Submitted, res.Dropped)
+func TestPrimaryRejectsZeroSecondaries(t *testing.T) {
+	_, _, err := RunPrimary(PrimaryConfig{Secondaries: 0})
+	if err == nil {
+		t.Fatal("zero secondaries accepted")
 	}
 }
 
-func TestPrimaryRejectsZeroSecondaries(t *testing.T) {
-	_, err := RunPrimary(PrimaryConfig{Secondaries: 0})
-	if err == nil {
-		t.Fatal("zero secondaries accepted")
+// TestPrimaryRejectsStreamWorkload: Secondaries presign trace submissions
+// only, so a workload with a stream: section fails the Primary up front,
+// naming the section, instead of running without it.
+func TestPrimaryRejectsStreamWorkload(t *testing.T) {
+	src, err := os.ReadFile("../../specs/workload-mint-flash.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = RunPrimary(primaryConfig(t, devnet("quorum"), string(src), 1))
+	if err == nil || !strings.Contains(err.Error(), "stream:") {
+		t.Fatalf("primary returned %v, want an error naming the stream: section", err)
 	}
 }
 
@@ -181,24 +301,13 @@ func TestSecondaryConnectError(t *testing.T) {
 // on.
 func startPrimary(t *testing.T) (string, <-chan error) {
 	t.Helper()
-	setup, err := spec.ParseSetup("blockchain: quorum\nconfiguration: devnet\nnode-scale: 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	benchmark, err := spec.ParseBenchmark(transferYAML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := freePort(t)
+	cfg := primaryConfig(t, devnet("quorum"), transferYAML, 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPrimary(PrimaryConfig{
-			Listen: addr, Secondaries: 1,
-			Setup: setup, Benchmark: benchmark, BenchmarkYAML: transferYAML,
-		})
+		_, _, err := RunPrimary(cfg)
 		done <- err
 	}()
-	return addr, done
+	return cfg.Listen, done
 }
 
 // primaryError waits for the Primary's error and requires it to name want.
@@ -227,6 +336,34 @@ func TestPrimaryRejectsSilentPeer(t *testing.T) {
 	}
 	defer c.Close()
 	primaryError(t, done, "no hello")
+}
+
+// TestPrimaryBoundsFrames: a hello of exactly maxFrame bytes registers, and
+// one byte more fails the Primary with an error naming the peer before it
+// buffers the rest.
+func TestPrimaryBoundsFrames(t *testing.T) {
+	for _, size := range []int{maxFrame, maxFrame + 1} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			addr, done := startPrimary(t)
+			c, err := dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			head, tail := `{"type":"hello","location":"`, "\"}\n"
+			frame := head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+			go c.Write([]byte(frame))
+			if size > maxFrame {
+				primaryError(t, done, fmt.Sprintf("frame from %s exceeds %d bytes", c.LocalAddr(), maxFrame))
+				return
+			}
+			if m, err := newConn(c).recv(); err != nil || m.Type != "assign" {
+				t.Fatalf("expected assign: %v %v", m, err)
+			}
+			c.Close()
+			primaryError(t, done, "secondary 0")
+		})
+	}
 }
 
 // TestPrimaryChecksStatsAck: a Secondary that registers, uploads nothing and
@@ -275,16 +412,15 @@ func TestPrimaryChecksStatsAck(t *testing.T) {
 	}
 }
 
-// TestPrimaryRejectsTamperedUpload: an uploaded transaction whose wire
-// signature does not verify fails the Primary with an error naming the
-// Secondary and the transaction's global index.
-func TestPrimaryRejectsTamperedUpload(t *testing.T) {
-	addr, done := startPrimary(t)
+// upload registers with the Primary at addr as its only Secondary and
+// uploads tx as the given global.
+func upload(t *testing.T, addr string, tx *types.Transaction, global int) {
+	t.Helper()
 	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	cc := newConn(c)
 	if err := cc.send(&Message{Type: "hello"}); err != nil {
 		t.Fatal(err)
@@ -292,71 +428,85 @@ func TestPrimaryRejectsTamperedUpload(t *testing.T) {
 	if m, err := cc.recv(); err != nil || m.Type != "assign" {
 		t.Fatalf("expected assign: %v %v", m, err)
 	}
-	acct := wallet.NewAccount(wallet.FastScheme{}, []byte("tamper"))
-	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000, GasPrice: 1}
-	acct.SignNext(tx)
-	sig := acct.WireSig(tx)
-	sig[0] ^= 0x01
-	if err := cc.send(&Message{Type: "tx", Tx: newWireTx(tx, 7, time.Second, sig)}); err != nil {
+	if err := cc.send(&Message{Type: "tx", Tx: newWireTx(tx, global, time.Second)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cc.send(&Message{Type: "done"}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// signed is a transfer carrying a real wire signature.
+func signed() *types.Transaction {
+	acct := wallet.NewAccount(wallet.FastScheme{}, []byte("tamper"))
+	tx := &types.Transaction{Kind: types.KindTransfer, To: types.Address{1}, Value: 1, GasLimit: 21000, GasPrice: 1}
+	acct.SignNext(tx)
+	tx.Sig = acct.WireSig(tx)
+	return tx
+}
+
+// TestPrimaryRejectsTamperedUpload: an uploaded transaction whose wire
+// signature does not verify fails the Primary with an error naming the
+// Secondary and the transaction's global index.
+func TestPrimaryRejectsTamperedUpload(t *testing.T) {
+	addr, done := startPrimary(t)
+	tx := signed()
+	tx.Sig[0] ^= 0x01
+	upload(t, addr, tx, 7)
 	primaryError(t, done, "secondary 0: transaction 7: wallet: invalid signature")
 }
 
-func TestParseAddress(t *testing.T) {
-	a, err := parseAddress("0x0102030405060708090a0b0c0d0e0f1011121314")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0] != 1 || a[19] != 0x14 {
-		t.Fatalf("address = %v", a)
-	}
-	for _, bad := range []string{"", "0x12", "1234", "0xzz02030405060708090a0b0c0d0e0f1011121314"} {
-		if _, err := parseAddress(bad); err == nil {
-			t.Errorf("parseAddress(%q) succeeded", bad)
-		}
-	}
+// TestPrimaryRejectsForeignGlobal: a Secondary may upload only the globals
+// of its share of the run.
+func TestPrimaryRejectsForeignGlobal(t *testing.T) {
+	addr, done := startPrimary(t)
+	upload(t, addr, signed(), 100)
+	primaryError(t, done, "secondary 0 uploaded transaction 100, which is not in its share")
 }
 
-// TestDistributedAVMChain runs a DApp benchmark against the Algorand
-// deployment over TCP: the pre-signed calldata built by Secondaries must
-// invoke the AVM-compiled application correctly (the selector+args word
-// encoding is shared across VM families).
-func TestDistributedAVMChain(t *testing.T) {
-	setup, err := spec.ParseSetup("blockchain: algorand\nconfiguration: devnet\nnode-scale: 2")
-	if err != nil {
-		t.Fatal(err)
+// FuzzRecv feeds arbitrary bytes to a connection's reader. Decoding must
+// not panic, and every tx message it accepts must rebuild into a
+// transaction whose upload is the same wire message.
+func FuzzRecv(f *testing.F) {
+	frame := func(m *Message) []byte {
+		b, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return append(b, '\n')
 	}
-	benchmark, err := spec.ParseBenchmark(benchYAML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := freePort(t)
-	var wg sync.WaitGroup
-	var secErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, secErr = RunSecondary(SecondaryConfig{Primary: addr, Location: "tokyo"})
-	}()
-	res, err := RunPrimary(PrimaryConfig{
-		Listen: addr, Secondaries: 1,
-		Setup: setup, Benchmark: benchmark, BenchmarkYAML: benchYAML,
+	invoke := signed()
+	invoke.Kind, invoke.Data = types.KindInvoke, []byte{1, 2, 3}
+	f.Add(frame(&Message{Type: "hello", Location: "tokyo"}))
+	f.Add(append(frame(&Message{Type: "tx", Tx: newWireTx(signed(), 3, time.Second)}), frame(&Message{Type: "done"})...))
+	f.Add(frame(&Message{Type: "tx", Tx: newWireTx(invoke, 0, 0)}))
+	f.Add([]byte(`{"type":"tx","tx":{"from":"AQ==","to":"","sig":null}}` + "\n"))
+	f.Add([]byte(`{"type":"tx","tx":{"kind":300}}` + "\n{\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := net.Pipe()
+		defer a.Close()
+		go func() {
+			b.Write(data)
+			b.Close()
+		}()
+		c := newConn(a)
+		for {
+			m, err := c.recv()
+			if err != nil {
+				return
+			}
+			if m.Type != "tx" || m.Tx == nil {
+				continue
+			}
+			tx, err := m.Tx.transaction()
+			if err != nil {
+				continue
+			}
+			want, _ := json.Marshal(m.Tx)
+			got, _ := json.Marshal(newWireTx(tx, m.Tx.Global, time.Duration(m.Tx.AtNs)))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("upload does not round-trip:\n got %s\nwant %s", got, want)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatalf("primary: %v", err)
-	}
-	wg.Wait()
-	if secErr != nil {
-		t.Fatalf("secondary: %v", secErr)
-	}
-	if res.Summary.Committed != res.Summary.Submitted || res.Summary.Submitted != 100 {
-		t.Fatalf("committed %d/%d on the AVM chain", res.Summary.Committed, res.Summary.Submitted)
-	}
-	if res.Aborted != 0 {
-		t.Fatalf("%d aborted executions on the AVM chain", res.Aborted)
-	}
 }

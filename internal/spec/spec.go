@@ -311,39 +311,6 @@ func (b *Benchmark) Traces() ([]*workloads.Trace, error) {
 	return out, nil
 }
 
-// Accounts returns the maximum account-set size any behavior requests.
-func (b *Benchmark) Accounts() int {
-	max := 0
-	for _, wl := range b.Workloads {
-		for _, beh := range wl.Behaviors {
-			if beh.Accounts > max {
-				max = beh.Accounts
-			}
-		}
-	}
-	if max == 0 {
-		max = 2000
-	}
-	return max
-}
-
-// Duration returns the longest workload or stream schedule.
-func (b *Benchmark) Duration() time.Duration {
-	max := 0
-	for _, wl := range b.Workloads {
-		for _, beh := range wl.Behaviors {
-			if end := beh.Load[len(beh.Load)-1].AtSec; end > max {
-				max = end
-			}
-		}
-	}
-	d := time.Duration(max) * time.Second
-	if sd := stream.Durations(b.Streams); sd > d {
-		d = sd
-	}
-	return d
-}
-
 // Setup is a parsed blockchain setup file.
 type Setup struct {
 	// Chain is the blockchain name.

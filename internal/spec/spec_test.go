@@ -82,11 +82,8 @@ func TestParsePaperGamingSpec(t *testing.T) {
 	if tr.DApp != "dota" || tr.Func != "update" {
 		t.Fatalf("trace target = %s/%s", tr.DApp, tr.Func)
 	}
-	if b.Accounts() != 2000 {
-		t.Fatalf("accounts = %d", b.Accounts())
-	}
-	if b.Duration() != 120*time.Second {
-		t.Fatalf("duration = %v", b.Duration())
+	if beh.Accounts != 2000 {
+		t.Fatalf("accounts = %d", beh.Accounts)
 	}
 }
 
