@@ -40,7 +40,9 @@ type goldenCell struct {
 // and abort counts across changes of the interpreters. The last four pin
 // multicasts: the byzantine spec's replay window schedules stale sends
 // inside broadcasts, and three chains vote or heartbeat all-to-all on the
-// full 200-node consortium with every observer armed.
+// full 200-node consortium with every observer armed. The two devnet fault
+// cells reach snowball sampling past a crashed peer and HotStuff's view
+// timeout with its leader and vote-collector fall-through.
 var goldenCells = []goldenCell{
 	{"quorum-fifa-10s", func(t *testing.T) bench.Experiment {
 		tr, err := workloads.ByName("fifa98")
@@ -141,6 +143,30 @@ faults:
 	{"quorum-n200", observedCell("quorum")},
 	{"redbelly-n200", observedCell("redbelly")},
 	{"quorum-raft-n200", observedCell("quorum-raft")},
+	{"avalanche-crash", faultCell("avalanche", crashRestart)},
+	{"diem-partition", faultCell("diem", crashRestart+`
+  - partition: {sides: "0-5 | 6-9", at: 3s, for: 10s}`)},
+}
+
+// crashRestart takes devnet node 1 down from 5 s to 20 s.
+const crashRestart = `
+  - crash: {node: 1, at: 5s}
+  - restart: {node: 1, at: 20s}`
+
+// faultCell is chain on the devnet configuration under the given faults:
+// list, 200 TPS of native transfers for 10 s and a 30 s tail.
+func faultCell(chain, faults string) func(*testing.T) bench.Experiment {
+	return func(t *testing.T) bench.Experiment {
+		setup, err := spec.ParseSetup("blockchain: " + chain + "\nconfiguration: devnet\nfaults:" + faults + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bench.Experiment{
+			Chain: setup.Chain, Config: setup.Config, Faults: setup.Faults,
+			Traces: []*workloads.Trace{workloads.NativeConstant(200, 10*time.Second)},
+			Tail:   30 * time.Second, Seed: 1,
+		}
+	}
 }
 
 // observedCell is a chain on the full 200-node consortium, where every IBFT
@@ -207,7 +233,7 @@ func readGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestGoldenSimDigests pins the simulated outcome of thirteen small cells to
+// TestGoldenSimDigests pins the simulated outcome of fifteen small cells to
 // digests recorded in testdata/golden.txt, so a refactor of the transaction
 // path or the event loop is checked against recorded behaviour instead of re-derived
 // expectations. An intended behaviour change regenerates the table with
