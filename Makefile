@@ -29,7 +29,7 @@ lint-fast:
 lint-audit:
 	$(GO) run ./cmd/diablo-lint -audit ./...
 
-test: vet lint adversary-smoke pexec-smoke spans-smoke knee-smoke fuzz-smoke
+test: vet lint snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke fuzz-smoke
 	$(GO) test ./...
 
 # Ten seconds of each fuzz target: the two differential oracles of the

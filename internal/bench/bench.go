@@ -185,19 +185,67 @@ func (e Experiment) scaled() *configs.Config {
 }
 
 // deploy builds the experiment's chain network on sched in configuration
-// cfg (e.scaled()) and provisions its wallet.
-func (e Experiment) deploy(sched *sim.Scheduler, wan *simnet.Network, cfg *configs.Config) (*chain.Network, *wallet.Wallet, error) {
+// cfg (e.scaled()), provisions its wallet and resolves the workload's
+// placement. It fails on everything about the deployment that Run rejects:
+// an unknown chain, a fault or byzantine schedule that does not fit the
+// nodes or the engine, and locations where no node lives.
+func (e Experiment) deploy(sched *sim.Scheduler, wan *simnet.Network, cfg *configs.Config) (*chain.Network, *wallet.Wallet, []core.Endpoint, error) {
 	params, err := chains.ParamsFor(e.Chain)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	net := chain.Deploy(sched, wan, params, chain.Deployment{
 		Nodes:   cfg.Nodes,
 		VCPUs:   cfg.VCPUs,
 		Regions: cfg.Regions,
 	})
+	if e.Faults != nil {
+		if err := e.Faults.Validate(cfg.Nodes); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if e.Byzantine != nil && len(e.Byzantine.Events) > 0 {
+		if err := e.Byzantine.Validate(cfg.Nodes); err != nil {
+			return nil, nil, nil, err
+		}
+		bs, ok := net.Engine().(chain.ByzantineSupport)
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("bench: the %s consensus engine declares no byzantine behavior support", net.Params.Consensus)
+		}
+		if err := e.Byzantine.CheckSupport(bs.ByzantineBehaviors(), net.Params.Consensus); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	placement, err := ResolvePlacement(net, e.Locations)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	w := wallet.New(wallet.FastScheme{}, fmt.Sprintf("%s-%s-%d", e.Chain, cfg.Name, e.Seed), cfg.AccountsFor(e.Chain))
-	return net, w, nil
+	return net, w, placement, nil
+}
+
+// Check reports the error Run would fail with before it simulates anything,
+// without running the experiment: a missing configuration or workload, and
+// every deployment check of deploy. The distributed Primary calls it before
+// it waits for Secondaries.
+func (e Experiment) Check() error {
+	if err := e.complete(); err != nil {
+		return err
+	}
+	sched := sim.NewScheduler(e.Seed)
+	_, _, _, err := e.deploy(sched, simnet.New(sched), e.scaled())
+	return err
+}
+
+// complete reports an experiment with no configuration or no workload.
+func (e Experiment) complete() error {
+	if e.Config == nil {
+		return fmt.Errorf("bench: experiment needs a configuration")
+	}
+	if len(e.Traces) == 0 && len(e.Streams) == 0 {
+		return fmt.Errorf("bench: experiment needs at least one trace or stream")
+	}
+	return nil
 }
 
 // Progress is one periodic liveness report during a run.
@@ -322,11 +370,8 @@ const DefaultCacheAfter = 16
 
 // Run executes the experiment.
 func Run(e Experiment) (*Outcome, error) {
-	if e.Config == nil {
-		return nil, fmt.Errorf("bench: experiment needs a configuration")
-	}
-	if len(e.Traces) == 0 && len(e.Streams) == 0 {
-		return nil, fmt.Errorf("bench: experiment needs at least one trace or stream")
+	if err := e.complete(); err != nil {
+		return nil, err
 	}
 	cfg := e.scaled()
 
@@ -348,7 +393,7 @@ func Run(e Experiment) (*Outcome, error) {
 	if spans != nil {
 		wan.SetSpans(spans)
 	}
-	net, w, err := e.deploy(sched, wan, cfg)
+	net, w, placement, err := e.deploy(sched, wan, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -385,24 +430,11 @@ func Run(e Experiment) (*Outcome, error) {
 
 	var chaosEng *chaos.Engine
 	if e.Faults != nil {
-		if err := e.Faults.Validate(cfg.Nodes); err != nil {
-			return nil, err
-		}
 		chaosEng = chaos.Install(sched, wan, e.Faults)
 		chaosEng.Instrument(tracer, reg)
 	}
 	var advEng *adversary.Engine
 	if e.Byzantine != nil && len(e.Byzantine.Events) > 0 {
-		if err := e.Byzantine.Validate(cfg.Nodes); err != nil {
-			return nil, err
-		}
-		bs, ok := net.Engine().(chain.ByzantineSupport)
-		if !ok {
-			return nil, fmt.Errorf("bench: the %s consensus engine declares no byzantine behavior support", net.Params.Consensus)
-		}
-		if err := e.Byzantine.CheckSupport(bs.ByzantineBehaviors(), net.Params.Consensus); err != nil {
-			return nil, err
-		}
 		advEng = adversary.Install(sched, cfg.Nodes, e.Byzantine)
 		advEng.Instrument(tracer, reg)
 		net.AttachAdversary(advEng)
@@ -428,11 +460,6 @@ func Run(e Experiment) (*Outcome, error) {
 	net.Exec.Workers = e.ExecWorkers
 
 	adapter := core.NewSimAdapter(net, w)
-
-	placement, err := ResolvePlacement(net, e.Locations)
-	if err != nil {
-		return nil, err
-	}
 
 	// Engine counters are registered last, then sampling starts: the meta
 	// line must carry the complete column list.
@@ -575,7 +602,7 @@ func Run(e Experiment) (*Outcome, error) {
 // workloads are not presigned: e must have none.
 func Presign(e Experiment, keep func(global int) bool, emit func(global int, at time.Duration, tx *types.Transaction) error) error {
 	sched := sim.NewScheduler(e.Seed)
-	net, w, err := e.deploy(sched, simnet.New(sched), e.scaled())
+	net, w, _, err := e.deploy(sched, simnet.New(sched), e.scaled())
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"diablo/internal/bench"
+	"diablo/internal/chains"
 	"diablo/internal/chaos"
 	"diablo/internal/collect"
 	"diablo/internal/configs"
@@ -155,6 +156,45 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 			}
 			if rep.Compared < 8 {
 				t.Fatalf("bisect compared only %d checkpoints", rep.Compared)
+			}
+		})
+	}
+}
+
+// TestResumeEveryEngine resumes each of the eight chains (one per consensus
+// engine) from the checkpoint taken at 15 s, while node 1 is down, under the
+// avalanche-crash golden cell's schedule. The resumed run must verify there,
+// end with the recorded run's digest and re-record identical checkpoints.
+func TestResumeEveryEngine(t *testing.T) {
+	for _, name := range append(chains.Names(), chains.ExtensionNames()...) {
+		t.Run(name, func(t *testing.T) {
+			run := func(dir, resume string) *bench.Outcome {
+				t.Helper()
+				exp := faultCell(name, crashRestart)(t)
+				exp.CheckpointEvery = 5 * time.Second
+				exp.CheckpointDir = dir
+				exp.Resume = resume
+				out, err := bench.Run(exp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			dirA, dirR := t.TempDir(), t.TempDir()
+			rec := run(dirA, "")
+			res := run(dirR, filepath.Join(dirA, snapshot.FileName(15*time.Second)))
+			if res.Verified != 15*time.Second {
+				t.Fatalf("Verified = %s, want 15s", res.Verified)
+			}
+			if got, want := res.Digest(), rec.Digest(); got != want {
+				t.Fatalf("resumed digest %s, recorded %s", got, want)
+			}
+			rep, err := snapshot.Bisect(dirA, dirR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Identical || len(rep.Warnings) != 0 {
+				t.Fatalf("recorded and resumed runs not digest-identical: %s", rep.Format())
 			}
 		})
 	}

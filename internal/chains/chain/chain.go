@@ -185,6 +185,9 @@ type Network struct {
 	Obs    Metrics //lint:allow snapshotdrift observer wiring attached before a run; never checkpointed state
 	spans  *span.Recorder
 
+	// onMessage is the engine's protocol message handler (HandleMessages).
+	onMessage func(at, from int, payload any)
+
 	// Stats
 	TotalCommittedTxs uint64
 	TotalBlocks       uint64
@@ -202,9 +205,6 @@ type Node struct {
 	Height uint64 // highest block this node has seen committed
 
 	clients []*Client
-
-	// onMessage is the engine's protocol message handler.
-	onMessage func(from int, payload any)
 }
 
 // Deployment describes where and on what hardware a network runs.
@@ -338,14 +338,11 @@ func (nd *Node) handle(msg simnet.Message) {
 			nd.net.adversary.NoteDiscarded()
 		}
 	default:
-		if nd.onMessage != nil {
-			nd.onMessage(int(msg.From), msg.Payload)
+		if h := nd.net.onMessage; h != nil {
+			h(nd.Index, int(msg.From), msg.Payload)
 		}
 	}
 }
-
-// SetMessageHandler installs the engine's protocol handler on a node.
-func (nd *Node) SetMessageHandler(h func(from int, payload any)) { nd.onMessage = h }
 
 // Send sends an engine message from this node to another node's engine
 // handler. With an adversary attached this is also the Replay and

@@ -14,7 +14,6 @@ import (
 	"diablo/internal/adversary"
 	"diablo/internal/chains/chain"
 	"diablo/internal/sim"
-	"diablo/internal/types"
 )
 
 const voteSize = 120
@@ -44,8 +43,7 @@ type certVote struct {
 // roundState is one round's voting state; it lives until every node has
 // delivered so that laggards finish after the protocol advances.
 type roundState struct {
-	block *types.Block
-	cost  chain.Cost
+	chain.Round
 	// soft and cert are the round's soft-vote and cert-vote committees,
 	// drawn once when the round opens.
 	soft, cert []bool
@@ -54,15 +52,6 @@ type roundState struct {
 	certSent   []bool
 	softCount  []int
 	certCount  []int
-	delivered  []bool
-	nDelivered int
-
-	// span is the open consensus-round span; phaseVote/ended mark its
-	// one-shot phase and close annotations (first node reaching each
-	// threshold, a deterministic event).
-	span      uint64
-	phaseVote bool
-	ended     bool
 }
 
 // Engine runs BA* rounds for the deployment.
@@ -80,10 +69,7 @@ type Engine struct {
 // New builds the engine.
 func New(n *chain.Network) chain.Engine {
 	e := &Engine{net: n, rounds: make(map[uint64]*roundState)}
-	for i, nd := range n.Nodes {
-		idx := i
-		nd.SetMessageHandler(func(from int, payload any) { e.onMessage(idx, payload) })
-	}
+	n.HandleMessages(func(at, _ int, payload any) { e.deliverVote(at, payload) })
 	return e
 }
 
@@ -115,15 +101,10 @@ func (e *Engine) committee(round uint64, step int) []bool {
 func (e *Engine) proposerOf(round uint64) int {
 	x := round*11400714819323198485 + 104729
 	x ^= x >> 33
-	n := len(e.net.Nodes)
-	p := int(x % uint64(n))
 	// Sortition falls through to the next candidate when the winner is
 	// down (in Algorand several candidates win sortition; the highest
 	// priority online one proposes).
-	for probe := 0; probe < n && e.net.Nodes[p].Sim.Crashed(); probe++ {
-		p = (p + 1) % n
-	}
-	return p
+	return e.net.NextLive(int(x % uint64(len(e.net.Nodes))))
 }
 
 func (e *Engine) threshold() int {
@@ -149,8 +130,7 @@ func (e *Engine) propose() {
 	round := e.round
 	size := len(e.net.Nodes)
 	st := &roundState{
-		block:     blk,
-		cost:      cost,
+		Round:     e.net.NewRound(blk, cost),
 		soft:      e.committee(round, 0),
 		cert:      e.committee(round, 1),
 		blockSeen: make([]bool, size),
@@ -158,16 +138,15 @@ func (e *Engine) propose() {
 		certSent:  make([]bool, size),
 		softCount: make([]int, size),
 		certCount: make([]int, size),
-		delivered: make([]bool, size),
 	}
-	st.span = e.net.RoundBegin(round, proposer)
+	st.Begin(e.net, round, proposer)
 	e.rounds[round] = st
 	r := e.net.OverloadRatio()
 	e.net.Sched.AfterKind(sim.KindConsensus, chain.Scale(cost.Assemble, r), func() {
 		if e.stopped {
 			return
 		}
-		e.net.RoundPhase(st.span, "propose", proposer)
+		e.net.RoundPhase(st.Span, "propose", proposer)
 		e.net.Gossip(proposer, blk.Size()+64, chain.DefaultFanout, func(idx int, _ time.Duration) {
 			e.onBlock(idx, round)
 		})
@@ -182,7 +161,7 @@ func (e *Engine) onBlock(idx int, round uint64) {
 		return
 	}
 	st.blockSeen[idx] = true
-	validation := chain.Scale(st.cost.Validate, e.net.OverloadRatio())
+	validation := chain.Scale(st.Cost.Validate, e.net.OverloadRatio())
 	if st.soft[idx] && !st.softSent[idx] {
 		st.softSent[idx] = true
 		e.net.Sched.AfterKind(sim.KindConsensus, validation+processing, func() {
@@ -205,8 +184,6 @@ func (e *Engine) broadcast(from int, payload any) {
 	})
 }
 
-func (e *Engine) onMessage(idx int, payload any) { e.deliverVote(idx, payload) }
-
 func (e *Engine) deliverVote(idx int, payload any) {
 	switch v := payload.(type) {
 	case softVote:
@@ -219,10 +196,7 @@ func (e *Engine) deliverVote(idx int, payload any) {
 		// the soft threshold is reached at them.
 		if st.softCount[idx] >= e.threshold() && st.cert[idx] && !st.certSent[idx] {
 			st.certSent[idx] = true
-			if !st.phaseVote {
-				st.phaseVote = true
-				e.net.RoundPhase(st.span, "vote", idx)
-			}
+			st.Phase(e.net, "vote", idx)
 			round := v.round
 			e.net.Sched.AfterKind(sim.KindConsensus, processing, func() {
 				if e.stopped || e.net.VoteWithheld(idx) {
@@ -237,17 +211,8 @@ func (e *Engine) deliverVote(idx int, payload any) {
 			return
 		}
 		st.certCount[idx]++
-		if st.certCount[idx] >= e.threshold() && !st.delivered[idx] {
-			st.delivered[idx] = true
-			st.nDelivered++
-			if !st.ended {
-				st.ended = true
-				e.net.RoundPhase(st.span, "commit", idx)
-				e.net.RoundEnd(st.span)
-				st.span = 0
-			}
-			e.net.DeliverBlock(idx, st.block)
-			if st.nDelivered == len(e.net.Nodes) {
+		if st.certCount[idx] >= e.threshold() && !st.Delivered(idx) {
+			if st.Deliver(e.net, idx) {
 				delete(e.rounds, v.round)
 			}
 			if idx == e.proposerOf(v.round) && v.round == e.round {

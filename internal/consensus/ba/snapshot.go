@@ -1,7 +1,8 @@
 package ba
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"diablo/internal/snapshot"
 )
@@ -13,13 +14,8 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.U64("round", e.round)
 	enc.U64("rounds_done", e.Rounds)
 	enc.U64("inflight", uint64(len(e.rounds)))
-	keys := make([]uint64, 0, len(e.rounds))
-	for k := range e.rounds {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	h := snapshot.NewHash()
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(e.rounds)) {
 		st := e.rounds[k]
 		h.U64(k)
 		h.Bools(st.blockSeen)
@@ -27,8 +23,7 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 		h.Bools(st.certSent)
 		h.Ints(st.softCount)
 		h.Ints(st.certCount)
-		h.Bools(st.delivered)
-		h.I64(int64(st.nDelivered))
+		st.HashDelivery(h)
 	}
 	enc.U64("state_digest", h.Sum())
 }

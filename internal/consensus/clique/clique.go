@@ -48,11 +48,7 @@ func (e *Engine) seal() {
 	// also what lets clients confirm earlier blocks at depth. If the
 	// in-turn sealer is down, the next authorized sealer signs out of
 	// turn (Clique's wiggle).
-	n := len(e.net.Nodes)
-	sealer := int(e.net.Height()) % n
-	for probe := 0; probe < n && e.net.Nodes[sealer].Sim.Crashed(); probe++ {
-		sealer = (sealer + 1) % n
-	}
+	sealer := e.net.NextLive(int(e.net.Height()) % len(e.net.Nodes))
 	if e.net.Nodes[sealer].Sim.Crashed() {
 		e.net.Sched.AfterKind(sim.KindConsensus, e.period, e.seal)
 		return

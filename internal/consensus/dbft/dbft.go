@@ -20,7 +20,6 @@ import (
 	"diablo/internal/adversary"
 	"diablo/internal/chains/chain"
 	"diablo/internal/sim"
-	"diablo/internal/types"
 )
 
 const voteSize = 160
@@ -39,22 +38,12 @@ type vote struct {
 
 // roundState is one superblock's agreement state.
 type roundState struct {
-	blk   *types.Block
-	cost  chain.Cost
+	chain.Round
 	seen  []bool
 	echoS []bool
 	readS []bool
 	echoC []int
 	readC []int
-	deliv []bool
-	nDel  int
-
-	// span is the open consensus-round span; phaseVote/ended mark its
-	// one-shot phase and close annotations (first node reaching each
-	// quorum, a deterministic event).
-	span      uint64
-	phaseVote bool
-	ended     bool
 }
 
 // Engine runs leaderless DBFT rounds for the deployment.
@@ -72,10 +61,7 @@ type Engine struct {
 // New builds the engine.
 func New(n *chain.Network) chain.Engine {
 	e := &Engine{net: n, rounds: make(map[uint64]*roundState)}
-	for i, nd := range n.Nodes {
-		idx := i
-		nd.SetMessageHandler(func(from int, payload any) { e.onMessage(idx, payload) })
-	}
+	n.HandleMessages(e.onMessage)
 	return e
 }
 
@@ -85,8 +71,6 @@ func (e *Engine) Start() { e.net.Sched.AfterKind(sim.KindConsensus, 0, e.propose
 // Stop halts the engine.
 func (e *Engine) Stop() { e.stopped = true }
 
-func (e *Engine) quorum() int { return 2*len(e.net.Nodes)/3 + 1 }
-
 // propose assembles the round's superblock (the union of what the
 // proposers received) and disseminates it from multiple roots in parallel,
 // so no single node's uplink or CPU carries the whole payload.
@@ -94,31 +78,27 @@ func (e *Engine) propose() {
 	if e.stopped {
 		return
 	}
-	coordinator := int(e.round) % len(e.net.Nodes)
 	// The coordination role (round bookkeeping) falls to the next live
 	// node when its holder is down; this is bookkeeping only — proposals
 	// themselves are already multi-rooted.
-	for probe := 0; probe < len(e.net.Nodes) && e.net.Nodes[coordinator].Sim.Crashed(); probe++ {
-		coordinator = (coordinator + 1) % len(e.net.Nodes)
-	}
+	coordinator := e.coordinatorOf(e.round)
 	blk, cost := e.net.AssembleBlock(coordinator, false)
 	if blk == nil {
 		e.net.Sched.AfterKind(sim.KindConsensus, retryIdle, e.propose)
 		return
 	}
-	e.net.MaybeEquivocate(coordinator, blk, e.quorum())
+	e.net.MaybeEquivocate(coordinator, blk, e.net.Quorum())
 	round := e.round
 	size := len(e.net.Nodes)
 	st := &roundState{
-		blk: blk, cost: cost,
+		Round: e.net.NewRound(blk, cost),
 		seen:  make([]bool, size),
 		echoS: make([]bool, size),
 		readS: make([]bool, size),
 		echoC: make([]int, size),
 		readC: make([]int, size),
-		deliv: make([]bool, size),
 	}
-	st.span = e.net.RoundBegin(round, coordinator)
+	st.Begin(e.net, round, coordinator)
 	e.rounds[round] = st
 
 	// Parallel dissemination: k proposers each spread a 1/k fragment of
@@ -134,19 +114,16 @@ func (e *Engine) propose() {
 	perProposer := time.Duration(float64(cost.Assemble) / float64(k) * r) //lint:allow float div-then-mul chain has no x*y±z contraction shape; single-rounded IEEE ops are bit-exact on every GOARCH
 	arrivals := make([]int, size)
 	for p := 0; p < k; p++ {
-		root := (coordinator + p) % size
-		first := p == 0
 		// Leaderless resilience: a down proposer's fragment is taken over
 		// by the next live node.
-		for probe := 0; probe < size && e.net.Nodes[root].Sim.Crashed(); probe++ {
-			root = (root + 1) % size
-		}
+		root := e.net.NextLive((coordinator + p) % size)
+		first := p == 0
 		e.net.Sched.AfterKind(sim.KindConsensus, perProposer, func() {
 			if e.stopped {
 				return
 			}
 			if first {
-				e.net.RoundPhase(st.span, "propose", root)
+				e.net.RoundPhase(st.Span, "propose", root)
 			}
 			e.net.Gossip(root, fragment, chain.DefaultFanout, func(idx int, _ time.Duration) {
 				arrivals[idx]++
@@ -165,7 +142,7 @@ func (e *Engine) onBlock(idx int, round uint64) {
 		return
 	}
 	st.seen[idx] = true
-	validation := chain.Scale(st.cost.Validate, e.net.OverloadRatio())
+	validation := chain.Scale(st.Cost.Validate, e.net.OverloadRatio())
 	e.net.Sched.AfterKind(sim.KindConsensus, validation, func() {
 		if e.stopped {
 			return
@@ -189,7 +166,7 @@ func (e *Engine) castVote(idx int, v vote, st *roundState, sent *bool) {
 	e.net.Nodes[idx].Broadcast(voteSize, v)
 }
 
-func (e *Engine) onMessage(at int, payload any) {
+func (e *Engine) onMessage(at, _ int, payload any) {
 	if v, ok := payload.(vote); ok {
 		e.deliverVote(at, v)
 	}
@@ -204,38 +181,27 @@ func (e *Engine) deliverVote(idx int, v vote) {
 	switch v.phase {
 	case 0:
 		st.echoC[idx]++
-		if st.echoC[idx] >= e.quorum() {
-			if !st.phaseVote {
-				st.phaseVote = true
-				e.net.RoundPhase(st.span, "vote", idx)
-			}
+		if st.echoC[idx] >= e.net.Quorum() {
+			st.Phase(e.net, "vote", idx)
 			e.castVote(idx, vote{round: v.round, phase: 1}, st, &st.readS[idx])
 		}
 	case 1:
 		st.readC[idx]++
-		if st.readC[idx] >= e.quorum() && !st.deliv[idx] {
-			st.deliv[idx] = true
-			st.nDel++
-			if !st.ended {
-				st.ended = true
-				e.net.RoundPhase(st.span, "commit", idx)
-				e.net.RoundEnd(st.span)
-				st.span = 0
-			}
-			e.net.DeliverBlock(idx, st.blk)
-			if st.nDel == len(e.net.Nodes) {
+		if st.readC[idx] >= e.net.Quorum() && !st.Delivered(idx) {
+			if st.Deliver(e.net, idx) {
 				delete(e.rounds, v.round)
 			}
-			n := len(e.net.Nodes)
-			trigger := int(v.round) % n
-			for probe := 0; probe < n && e.net.Nodes[trigger].Sim.Crashed(); probe++ {
-				trigger = (trigger + 1) % n
-			}
-			if idx == trigger && v.round == e.round {
+			if idx == e.coordinatorOf(v.round) && v.round == e.round {
 				e.advance()
 			}
 		}
 	}
+}
+
+// coordinatorOf is the node that keeps round's bookkeeping: round-robin,
+// falling through to the next live node.
+func (e *Engine) coordinatorOf(round uint64) int {
+	return e.net.NextLive(int(round) % len(e.net.Nodes))
 }
 
 func (e *Engine) advance() {

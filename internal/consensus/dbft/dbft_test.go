@@ -63,10 +63,12 @@ func TestSuperblocksCommitEverywhere(t *testing.T) {
 	}
 }
 
+// TestQuorumSize pins the quorum the engine counts votes against on its
+// own deployment: 2f+1 of the validators.
 func TestQuorumSize(t *testing.T) {
 	for _, c := range []struct{ n, q int }{{4, 3}, {10, 7}, {200, 134}} {
 		_, _, eng := deploy(t, c.n)
-		if got := eng.quorum(); got != c.q {
+		if got := eng.net.Quorum(); got != c.q {
 			t.Errorf("quorum(%d) = %d, want %d", c.n, got, c.q)
 		}
 	}

@@ -74,28 +74,16 @@ func New(n *chain.Network) chain.Engine {
 		costs:  make(map[uint64]chain.Cost),
 		voted:  make([]bool, len(n.Nodes)),
 	}
-	for i, nd := range n.Nodes {
-		idx := i
-		nd.SetMessageHandler(func(from int, payload any) { e.onMessage(idx, from, payload) })
-	}
+	n.HandleMessages(e.onMessage)
 	return e
 }
-
-func (e *Engine) quorum() int { return 2*len(e.net.Nodes)/3 + 1 }
 
 func (e *Engine) leaderOf(view uint64) int { return int(view) % len(e.net.Nodes) }
 
 // collectorOf is the node that gathers view v's votes: the next view's
 // leader, falling through to the next live node when it is down (a down
 // collector would otherwise time the view out forever).
-func (e *Engine) collectorOf(view uint64) int {
-	n := len(e.net.Nodes)
-	c := e.leaderOf(view + 1)
-	for probe := 0; probe < n && e.net.Nodes[c].Sim.Crashed(); probe++ {
-		c = (c + 1) % n
-	}
-	return c
-}
+func (e *Engine) collectorOf(view uint64) int { return e.net.NextLive(e.leaderOf(view + 1)) }
 
 // Start begins view 0.
 func (e *Engine) Start() { e.net.Sched.AfterKind(sim.KindConsensus, 0, e.propose) }
@@ -113,12 +101,9 @@ func (e *Engine) propose() {
 	if e.stopped {
 		return
 	}
-	leader := e.leaderOf(e.view)
 	// A down leader's view is skipped by proposing from the next live
 	// validator (the pacemaker's timeout certificate path, folded in).
-	for probe := 0; probe < len(e.net.Nodes) && e.net.Nodes[leader].Sim.Crashed(); probe++ {
-		leader = (leader + 1) % len(e.net.Nodes)
-	}
+	leader := e.net.NextLive(e.leaderOf(e.view))
 	// Keep the chain moving while uncommitted blocks exist; otherwise wait
 	// for transactions.
 	allowEmpty := e.hasUncommitted()
@@ -132,7 +117,7 @@ func (e *Engine) propose() {
 	e.blocks[view] = blk
 	e.costs[view] = cost
 	e.roundSpan = e.net.RoundBegin(view, leader)
-	e.net.MaybeEquivocate(leader, blk, e.quorum())
+	e.net.MaybeEquivocate(leader, blk, e.net.Quorum())
 	e.anyProposed = true
 	if len(blk.Txs) > 0 {
 		e.lastNonEmpty = view
@@ -223,7 +208,7 @@ func (e *Engine) onVote(at int, v voteMsg) {
 		return
 	}
 	e.votes++
-	if e.votes >= e.quorum() {
+	if e.votes >= e.net.Quorum() {
 		e.timeoutEv.Cancel()
 		e.net.RoundPhase(e.roundSpan, "vote", at)
 		e.net.RoundEnd(e.roundSpan)
@@ -250,11 +235,7 @@ func (e *Engine) onTimeout() {
 		for i := range e.voted {
 			e.voted[i] = false
 		}
-		leader := e.leaderOf(view)
-		n := len(e.net.Nodes)
-		for probe := 0; probe < n && e.net.Nodes[leader].Sim.Crashed(); probe++ {
-			leader = (leader + 1) % n
-		}
+		leader := e.net.NextLive(e.leaderOf(view))
 		if e.curTimeout < viewTimeoutMax {
 			e.curTimeout *= 2
 		}

@@ -1,7 +1,8 @@
 package hotstuff
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"diablo/internal/snapshot"
 )
@@ -18,12 +19,7 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.Dur("cur_timeout", e.curTimeout)
 	h := snapshot.NewHash()
 	h.Bools(e.voted)
-	keys := make([]uint64, 0, len(e.blocks))
-	for k := range e.blocks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(e.blocks)) {
 		h.U64(k)
 		bh := e.blocks[k].Hash()
 		h.Bytes(bh[:])

@@ -13,7 +13,6 @@ import (
 	"diablo/internal/adversary"
 	"diablo/internal/chains/chain"
 	"diablo/internal/sim"
-	"diablo/internal/types"
 )
 
 // voteSize is the wire size of a prepare/commit vote.
@@ -38,23 +37,13 @@ type vote struct {
 // sequence's completion so that laggard nodes still reach commit and
 // deliver the block to their clients.
 type seqState struct {
-	blk   *types.Block
-	cost  chain.Cost
+	chain.Round
 	round int
 
 	prepared     []bool
 	committedOut []bool
 	prepareCount []int
 	commitCount  []int
-	delivered    []bool
-	nDelivered   int
-
-	// span is the open consensus-round span for this proposer round;
-	// phasePrep/phaseCommit mark its phase annotations emitted (first
-	// node reaching each quorum, a deterministic event).
-	span        uint64
-	phasePrep   bool
-	phaseCommit bool
 }
 
 // Engine is the IBFT state machine for the whole deployed network. One
@@ -77,15 +66,9 @@ type Engine struct {
 // New builds the engine.
 func New(n *chain.Network) chain.Engine {
 	e := &Engine{net: n, timeout: baseTimeout, states: make(map[uint64]*seqState)}
-	for i, nd := range n.Nodes {
-		idx := i
-		nd.SetMessageHandler(func(from int, payload any) { e.onMessage(idx, payload) })
-	}
+	n.HandleMessages(e.onMessage)
 	return e
 }
-
-// quorum is 2f+1 of n = 3f+1.
-func (e *Engine) quorum() int { return 2*len(e.net.Nodes)/3 + 1 }
 
 // Start begins the first sequence.
 func (e *Engine) Start() { e.net.Sched.AfterKind(sim.KindConsensus, 0, e.propose) }
@@ -96,13 +79,15 @@ func (e *Engine) Stop() {
 	e.timeoutEv.Cancel()
 }
 
-func (e *Engine) newState(size int) *seqState {
+// newState opens fresh vote state for a proposer round of r's block.
+func (e *Engine) newState(r chain.Round) *seqState {
+	size := len(e.net.Nodes)
 	return &seqState{
+		Round:        r,
 		prepared:     make([]bool, size),
 		committedOut: make([]bool, size),
 		prepareCount: make([]int, size),
 		commitCount:  make([]int, size),
-		delivered:    make([]bool, size),
 	}
 }
 
@@ -120,37 +105,33 @@ func (e *Engine) propose() {
 			e.net.Sched.AfterKind(sim.KindConsensus, retryIdle, e.propose)
 			return
 		}
-		st = e.newState(len(e.net.Nodes))
-		st.blk = blk
-		st.cost = cost
+		st = e.newState(e.net.NewRound(blk, cost))
 		e.seq = blk.Number
 		e.states[e.seq] = st
-		e.net.MaybeEquivocate(leader, blk, e.quorum())
+		e.net.MaybeEquivocate(leader, blk, e.net.Quorum())
 	} else {
-		// Round change: reset the vote state for the retry.
-		nd := e.newState(len(e.net.Nodes))
-		nd.blk, nd.cost, nd.round = st.blk, st.cost, st.round
-		copy(nd.delivered, st.delivered)
-		nd.nDelivered = st.nDelivered
-		e.net.RoundEnd(st.span) // the failed round is over
+		// Round change: reset the vote state for the retry; the delivery
+		// record carries over.
+		nd := e.newState(st.Round)
+		nd.round = st.round
 		e.states[e.seq] = nd
 		st = nd
 	}
 	e.Rounds++
 	seq, round := e.seq, st.round
 	leader := int(seq+uint64(round)) % len(e.net.Nodes)
-	st.span = e.net.RoundBegin(seq, leader)
-	blk := st.blk
+	st.Begin(e.net, seq, leader) // closes the failed round's span
+	blk := st.Block
 	r := e.net.OverloadRatio()
 	e.timeoutEv.Cancel()
 	e.timeoutEv = e.net.Sched.AfterKind(sim.KindConsensus, e.timeout, e.onTimeout)
 	// Leader executes the block before disseminating, then gossips the
 	// pre-prepare carrying the full block body.
-	e.net.Sched.AfterKind(sim.KindConsensus, chain.Scale(st.cost.Assemble, r), func() {
+	e.net.Sched.AfterKind(sim.KindConsensus, chain.Scale(st.Cost.Assemble, r), func() {
 		if e.stopped {
 			return
 		}
-		e.net.RoundPhase(st.span, "propose", leader)
+		e.net.RoundPhase(st.Span, "propose", leader)
 		e.net.Gossip(leader, blk.Size()+64, chain.DefaultFanout, func(idx int, _ time.Duration) {
 			e.onPrePrepare(idx, seq, round)
 		})
@@ -165,7 +146,7 @@ func (e *Engine) onPrePrepare(idx int, seq uint64, round int) {
 		return
 	}
 	st.prepared[idx] = true
-	validation := chain.Scale(st.cost.Validate, e.net.OverloadRatio())
+	validation := chain.Scale(st.Cost.Validate, e.net.OverloadRatio())
 	e.net.Sched.AfterKind(sim.KindConsensus, validation, func() {
 		if e.stopped {
 			return
@@ -184,7 +165,7 @@ func (e *Engine) broadcastVote(idx int, v vote) {
 	e.net.Nodes[idx].Broadcast(voteSize, v)
 }
 
-func (e *Engine) onMessage(at int, payload any) {
+func (e *Engine) onMessage(at, _ int, payload any) {
 	if v, ok := payload.(vote); ok {
 		e.onVote(at, v)
 	}
@@ -201,27 +182,15 @@ func (e *Engine) onVote(at int, v vote) {
 	switch v.phase {
 	case 0:
 		st.prepareCount[at]++
-		if st.prepareCount[at] >= e.quorum() && !st.committedOut[at] {
+		if st.prepareCount[at] >= e.net.Quorum() && !st.committedOut[at] {
 			st.committedOut[at] = true
-			if !st.phasePrep {
-				st.phasePrep = true
-				e.net.RoundPhase(st.span, "prepare", at)
-			}
+			st.Phase(e.net, "prepare", at)
 			e.broadcastVote(at, vote{seq: v.seq, round: v.round, phase: 1})
 		}
 	case 1:
 		st.commitCount[at]++
-		if st.commitCount[at] >= e.quorum() && !st.delivered[at] {
-			st.delivered[at] = true
-			st.nDelivered++
-			if !st.phaseCommit {
-				st.phaseCommit = true
-				e.net.RoundPhase(st.span, "commit", at)
-				e.net.RoundEnd(st.span)
-				st.span = 0
-			}
-			e.net.DeliverBlock(at, st.blk)
-			if st.nDelivered == len(e.net.Nodes) {
+		if st.commitCount[at] >= e.net.Quorum() && !st.Delivered(at) {
+			if st.Deliver(e.net, at) {
 				delete(e.states, v.seq)
 			}
 			leader := int(v.seq+uint64(v.round)) % len(e.net.Nodes)

@@ -1,7 +1,8 @@
 package ibft
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"diablo/internal/snapshot"
 )
@@ -16,13 +17,8 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.U64("round_changes", e.RoundChanges)
 	enc.Dur("timeout", e.timeout)
 	enc.U64("inflight", uint64(len(e.states)))
-	keys := make([]uint64, 0, len(e.states))
-	for k := range e.states {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	h := snapshot.NewHash()
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(e.states)) {
 		st := e.states[k]
 		h.U64(k)
 		h.I64(int64(st.round))
@@ -30,8 +26,7 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 		h.Bools(st.committedOut)
 		h.Ints(st.prepareCount)
 		h.Ints(st.commitCount)
-		h.Bools(st.delivered)
-		h.I64(int64(st.nDelivered))
+		st.HashDelivery(h)
 	}
 	enc.U64("state_digest", h.Sum())
 }

@@ -89,10 +89,7 @@ func New(n *chain.Network) chain.Engine {
 		blocks:    make(map[uint64]*blockState),
 		delivered: make(map[uint64][]bool),
 	}
-	for i, nd := range n.Nodes {
-		idx := i
-		nd.SetMessageHandler(func(from int, payload any) { e.onMessage(idx, from, payload) })
-	}
+	n.HandleMessages(e.onMessage)
 	return e
 }
 
@@ -291,7 +288,6 @@ func (e *Engine) deliverUpTo(at int, commit uint64) {
 			if !d && !e.net.Nodes[i].Sim.Crashed() {
 				full = false
 			}
-			_ = i
 		}
 		if full {
 			delete(e.blocks, seq)

@@ -1,7 +1,8 @@
 package raft
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"diablo/internal/snapshot"
 )
@@ -18,13 +19,8 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.U64("elections", e.Elections)
 	enc.U64("inflight", uint64(len(e.blocks)))
 
-	keys := make([]uint64, 0, len(e.blocks))
-	for k := range e.blocks {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	h := snapshot.NewHash()
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(e.blocks)) {
 		st := e.blocks[k]
 		h.U64(k)
 		h.I64(int64(st.acks))
@@ -37,13 +33,8 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	}
 	enc.U64("replication_digest", h.Sum())
 
-	keys = keys[:0]
-	for k := range e.delivered {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	dh := snapshot.NewHash()
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(e.delivered)) {
 		dh.U64(k)
 		dh.Bools(e.delivered[k])
 	}

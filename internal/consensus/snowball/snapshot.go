@@ -1,7 +1,8 @@
 package snowball
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"diablo/internal/snapshot"
 )
@@ -16,18 +17,12 @@ func (e *Engine) SnapshotState(enc *snapshot.Encoder) {
 	enc.Dur("started_at", e.startedAt)
 	enc.Bool("next_pending", e.nextPending)
 	enc.U64("inflight", uint64(len(e.rounds)))
-	keys := make([]uint64, 0, len(e.rounds))
-	for k := range e.rounds {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	h := snapshot.NewHash()
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(e.rounds)) {
 		st := e.rounds[k]
 		h.U64(k)
 		h.Ints(st.confidence)
-		h.Bools(st.accepted)
-		h.I64(int64(st.nAccepted))
+		st.HashDelivery(h)
 	}
 	enc.U64("state_digest", h.Sum())
 }

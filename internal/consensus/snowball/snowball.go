@@ -15,7 +15,6 @@ import (
 	"diablo/internal/adversary"
 	"diablo/internal/chains/chain"
 	"diablo/internal/sim"
-	"diablo/internal/types"
 )
 
 const querySize = 80
@@ -50,16 +49,8 @@ type chit struct {
 // until all nodes accepted, so slow nodes finish even after newer blocks
 // appear.
 type roundState struct {
-	blk        *types.Block
-	cost       chain.Cost
-	confidence []int
-	accepted   []bool
-	nAccepted  int
-
-	// span is the open consensus-round span; ended marks its one-shot
-	// close at the first acceptance (a deterministic event).
-	span  uint64
-	ended bool
+	chain.Round // a node delivers the block when it accepts it
+	confidence  []int
 }
 
 // Engine runs the snowball sampling loop for the deployment.
@@ -79,10 +70,7 @@ type Engine struct {
 // New builds the engine.
 func New(n *chain.Network) chain.Engine {
 	e := &Engine{net: n, rounds: make(map[uint64]*roundState)}
-	for i, nd := range n.Nodes {
-		idx := i
-		nd.SetMessageHandler(func(from int, payload any) { e.onMessage(idx, from, payload) })
-	}
+	n.HandleMessages(e.onMessage)
 	return e
 }
 
@@ -95,12 +83,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) proposerOf(round uint64) int {
 	x := round*0x9E3779B97F4A7C15 + 7
 	x ^= x >> 31
-	n := len(e.net.Nodes)
-	p := int(x % uint64(n))
-	for probe := 0; probe < n && e.net.Nodes[p].Sim.Crashed(); probe++ {
-		p = (p + 1) % n
-	}
-	return p
+	return e.net.NextLive(int(x % uint64(len(e.net.Nodes))))
 }
 
 // propose emits the next block and lets every node sample it to
@@ -117,13 +100,8 @@ func (e *Engine) propose() {
 	}
 	round := e.round
 	e.round++
-	st := &roundState{
-		blk:        blk,
-		cost:       cost,
-		confidence: make([]int, len(e.net.Nodes)),
-		accepted:   make([]bool, len(e.net.Nodes)),
-	}
-	st.span = e.net.RoundBegin(round, proposer)
+	st := &roundState{Round: e.net.NewRound(blk, cost), confidence: make([]int, len(e.net.Nodes))}
+	st.Begin(e.net, round, proposer)
 	e.rounds[round] = st
 	e.startedAt = e.net.Sched.Now()
 	r := e.net.OverloadRatio()
@@ -138,7 +116,7 @@ func (e *Engine) propose() {
 		if e.stopped {
 			return
 		}
-		e.net.RoundPhase(st.span, "propose", proposer)
+		e.net.RoundPhase(st.Span, "propose", proposer)
 		e.net.Gossip(proposer, blk.Size()+64, chain.DefaultFanout, func(idx int, _ time.Duration) {
 			e.startSampling(idx, round)
 		})
@@ -148,18 +126,18 @@ func (e *Engine) propose() {
 // startSampling begins a node's snowball loop once it has the block.
 func (e *Engine) startSampling(idx int, round uint64) {
 	st := e.rounds[round]
-	if e.stopped || st == nil || st.accepted[idx] {
+	if e.stopped || st == nil || st.Delivered(idx) {
 		return
 	}
 	// Validate (re-execute) before sampling.
-	validation := chain.Scale(st.cost.Validate, e.net.OverloadRatio())
+	validation := chain.Scale(st.Cost.Validate, e.net.OverloadRatio())
 	e.net.Sched.AfterKind(sim.KindConsensus, validation, func() { e.sampleOnce(idx, round) })
 }
 
 // sampleOnce sends one query to a random peer.
 func (e *Engine) sampleOnce(idx int, round uint64) {
 	st := e.rounds[round]
-	if e.stopped || st == nil || st.accepted[idx] {
+	if e.stopped || st == nil || st.Delivered(idx) {
 		return
 	}
 	if len(e.net.Nodes) == 1 {
@@ -182,7 +160,7 @@ func (e *Engine) sampleOnce(idx int, round uint64) {
 		conf := st.confidence[idx]
 		e.net.Sched.AfterKind(sim.KindConsensus, queryTimeout, func() {
 			cur := e.rounds[round]
-			if e.stopped || cur == nil || cur.accepted[idx] || cur.confidence[idx] != conf {
+			if e.stopped || cur == nil || cur.Delivered(idx) || cur.confidence[idx] != conf {
 				return
 			}
 			e.sampleOnce(idx, round)
@@ -209,21 +187,12 @@ func (e *Engine) onMessage(at, from int, payload any) {
 // the block at that node.
 func (e *Engine) onChit(idx int, c chit) {
 	st := e.rounds[c.round]
-	if e.stopped || st == nil || st.accepted[idx] {
+	if e.stopped || st == nil || st.Delivered(idx) {
 		return
 	}
 	st.confidence[idx]++
 	if st.confidence[idx] >= beta {
-		st.accepted[idx] = true
-		st.nAccepted++
-		if !st.ended {
-			st.ended = true
-			e.net.RoundPhase(st.span, "commit", idx)
-			e.net.RoundEnd(st.span)
-			st.span = 0
-		}
-		e.net.DeliverBlock(idx, st.blk)
-		if st.nAccepted == len(e.net.Nodes) {
+		if st.Deliver(e.net, idx) {
 			delete(e.rounds, c.round)
 		}
 		if idx == e.proposerOf(c.round) && c.round == e.round-1 {

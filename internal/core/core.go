@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"diablo/internal/stats"
 	"diablo/internal/types"
 )
 
@@ -162,22 +161,4 @@ func (s InteractionSpec) Validate() error {
 		return fmt.Errorf("core: unknown interaction kind %d", s.Kind)
 	}
 	return nil
-}
-
-// Records converts observations to the stats layer's transaction records.
-func Records(obs []Observation) []stats.TxRecord {
-	out := make([]stats.TxRecord, len(obs))
-	for i, o := range obs {
-		rec := stats.TxRecord{Submit: o.Submitted, Commit: o.Decided}
-		if o.Dropped {
-			rec.Commit = -1
-		}
-		if o.Decided >= 0 && o.Status != types.StatusOK {
-			// Committed but failed execution: the paper counts "budget
-			// exceeded" and reverts as aborted, not as commits.
-			rec.Aborted = true
-		}
-		out[i] = rec
-	}
-	return out
 }

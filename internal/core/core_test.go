@@ -131,24 +131,6 @@ func TestInteractionSpecValidate(t *testing.T) {
 	}
 }
 
-func TestRecords(t *testing.T) {
-	obs := []Observation{
-		{Submitted: time.Second, Decided: 3 * time.Second, Status: types.StatusOK},
-		{Submitted: time.Second, Decided: -1, Dropped: true},
-		{Submitted: time.Second, Decided: 2 * time.Second, Status: types.StatusBudgetExceeded},
-	}
-	recs := Records(obs)
-	if !recs[0].Committed() || recs[0].Latency() != 2*time.Second {
-		t.Fatalf("rec0 = %+v", recs[0])
-	}
-	if recs[1].Committed() || recs[1].Aborted {
-		t.Fatalf("rec1 = %+v", recs[1])
-	}
-	if !recs[2].Aborted {
-		t.Fatalf("rec2 = %+v", recs[2])
-	}
-}
-
 // TestEngineEndToEnd runs a small constant workload through the full
 // engine on every chain and sanity-checks the aggregates.
 func TestEngineEndToEnd(t *testing.T) {

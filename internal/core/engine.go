@@ -99,9 +99,6 @@ type Result struct {
 	DeployErr error
 }
 
-// CommitRatio is committed / submitted.
-func (r *Result) CommitRatio() float64 { return r.Summary.CommitRatio }
-
 // submission is one pre-scheduled workload entry.
 type submission struct {
 	at     time.Duration

@@ -255,6 +255,11 @@ func RunPrimary(cfg PrimaryConfig) (*bench.Outcome, []SecondaryStats, error) {
 	if len(exp.Streams) > 0 {
 		return nil, nil, fmt.Errorf("remote: the workload's stream: section cannot be presigned by Secondaries; run it with diablo run")
 	}
+	// Fail before any Secondary connects, so a rejected experiment is
+	// reported here and not as a closed connection at every Secondary.
+	if err := exp.Check(); err != nil {
+		return nil, nil, err
+	}
 	total := 0
 	for _, tr := range exp.Traces {
 		total += tr.Total()

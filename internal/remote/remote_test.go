@@ -287,6 +287,37 @@ func TestPrimaryRejectsStreamWorkload(t *testing.T) {
 	}
 }
 
+// TestPrimaryChecksBeforeListening: an experiment that bench.Run rejects
+// fails the Primary with Run's reason before any Secondary connects.
+func TestPrimaryChecksBeforeListening(t *testing.T) {
+	const oregon = `
+workloads:
+  - client:
+      location: { sample: !location [ "oregon" ] }
+      view: { sample: !endpoint [ ".*" ] }
+      behavior:
+        - interaction: !transfer
+            from: { sample: !account { number: 40 } }
+          load:
+            0: 10
+            10: 0
+`
+	cfg := primaryConfig(t, "blockchain: quorum\nconfiguration: devnet\nnode-scale: 5", oregon, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RunPrimary(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "no deployed node lives in [oregon]") {
+			t.Fatalf("primary returned %v, want the placement error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("primary waits for Secondaries to run an experiment it rejects")
+	}
+}
+
 func TestSecondaryConnectError(t *testing.T) {
 	defer func(w time.Duration) { dialWait = w }(dialWait)
 	dialWait = 100 * time.Millisecond
