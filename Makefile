@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint lint-fast lint-audit race fuzz-smoke bench-exhibits exhibits exhibits-quick examples trace-smoke snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke clean
+.PHONY: build test test-short vet lint lint-fast lint-audit race fuzz-smoke bench-exhibits exhibits exhibits-quick examples trace-smoke snapshot-smoke adversary-smoke spans-smoke knee-smoke clean
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ lint-fast:
 lint-audit:
 	$(GO) run ./cmd/diablo-lint -audit ./...
 
-test: vet lint snapshot-smoke adversary-smoke pexec-smoke spans-smoke knee-smoke fuzz-smoke
+test: vet lint snapshot-smoke adversary-smoke spans-smoke knee-smoke fuzz-smoke
 	$(GO) test ./...
 
 # Ten seconds of each fuzz target: the two differential oracles of the
@@ -49,17 +49,17 @@ fuzz-smoke:
 test-short:
 	$(GO) test -short ./...
 
-# Race-detector pass: the parallel sweep runner (bench, core, report) and the
-# parallel block executor (chains, pexec) with the two interpreters whose
-# decoded programs its lanes share, plus the sim-time packages they drive;
-# and the TCP Primary/Secondary path (remote, whose goroutines share
-# sockets) with the wallet its Secondaries sign through.
+# Race-detector pass: the parallel sweep runner (bench, core, report), which
+# runs whole cells on worker goroutines, with the sim-time packages a cell
+# drives (chains and the two interpreters among them); and the TCP
+# Primary/Secondary path (remote, whose goroutines share sockets) with the
+# wallet its Secondaries sign through.
 race:
 	$(GO) test -race ./internal/sim ./internal/chaos ./internal/simnet \
 		./internal/chains/... ./internal/bench ./internal/core \
 		./internal/obs ./internal/collect ./internal/snapshot \
 		./internal/report ./internal/adversary ./internal/invariant \
-		./internal/pexec ./internal/span ./internal/stream \
+		./internal/span ./internal/stream \
 		./internal/vm ./internal/avm ./internal/remote ./internal/wallet
 
 # One Go benchmark per table/figure, reduced scale.
@@ -119,29 +119,6 @@ adversary-smoke:
 		specs/setup-quorum-byzantine-unsafe.yaml specs/workload-native-10.yaml
 	rm -f adv-a.json adv-b.json adv-a.norm.json adv-b.norm.json
 
-# Parallel-execution smoke test: the chaos spec and the contract workload
-# must produce byte-identical results (after wall_ms normalization and
-# dropping the "pexec" counter block, which only worker>1 runs emit) with
-# serial and 4-worker intra-block execution — the DESIGN.md §14 guarantee,
-# end to end through the CLI.
-pexec-smoke:
-	rm -f px-*.json
-	$(GO) run ./cmd/diablo run --exec-workers=1 --output=px-s1.json \
-		specs/setup-quorum-chaos.yaml specs/workload-native-10.yaml
-	$(GO) run ./cmd/diablo run --exec-workers=4 --output=px-s4.json \
-		specs/setup-quorum-chaos.yaml specs/workload-native-10.yaml
-	sed -e '/^  "pexec": {$$/,/^  },$$/d' -e 's/"wall_ms": [0-9]*/"wall_ms": 0/' px-s1.json > px-s1.norm.json
-	sed -e '/^  "pexec": {$$/,/^  },$$/d' -e 's/"wall_ms": [0-9]*/"wall_ms": 0/' px-s4.json > px-s4.norm.json
-	cmp px-s1.norm.json px-s4.norm.json
-	$(GO) run ./cmd/diablo run --exec-workers=1 --output=px-c1.json \
-		specs/setup-quorum.yaml specs/workload-contract-10.yaml
-	$(GO) run ./cmd/diablo run --exec-workers=4 --output=px-c4.json \
-		specs/setup-quorum.yaml specs/workload-contract-10.yaml
-	sed -e '/^  "pexec": {$$/,/^  },$$/d' -e 's/"wall_ms": [0-9]*/"wall_ms": 0/' px-c1.json > px-c1.norm.json
-	sed -e '/^  "pexec": {$$/,/^  },$$/d' -e 's/"wall_ms": [0-9]*/"wall_ms": 0/' px-c4.json > px-c4.norm.json
-	cmp px-c1.norm.json px-c4.norm.json
-	rm -f px-*.json
-
 # Causal-span smoke test (DESIGN.md §15): recording spans must be pure
 # observation — the result JSON with --spans on is byte-identical (after
 # wall_ms normalization) to a run without — and same-seed span files must
@@ -181,5 +158,4 @@ clean:
 	rm -f diablo test_output.txt bench_output.txt trace-smoke.jsonl.gz
 	rm -rf ck-a ck-b ck-a.json ck-b.json ck-a.norm.json ck-b.norm.json checkpoints
 	rm -f adv-a.json adv-b.json adv-a.norm.json adv-b.norm.json
-	rm -f px-s1.json px-s4.json px-c1.json px-c4.json px-s1.norm.json px-s4.norm.json px-c1.norm.json px-c4.norm.json
 	rm -f sp-off.json sp-on.json sp-off.norm.json sp-on.norm.json sp-a.jsonl.gz sp-b.jsonl.gz sp-a.folded

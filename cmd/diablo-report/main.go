@@ -12,10 +12,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"diablo/internal/collect"
@@ -33,77 +33,112 @@ func writeJSON(w io.Writer, v any) error {
 }
 
 func main() {
-	log.SetFlags(0)
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:]); err != nil {
-			log.Fatalf("diablo-report: %v", err)
-		}
-		return
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// errUsage reports a command line whose usage text has been printed.
+var errUsage = errors.New("usage")
+
+// run dispatches one subcommand and returns the process exit status: 0 on
+// success, 1 when the command fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	cmd := ""
+	if len(args) > 0 {
+		cmd = args[0]
 	}
-	if len(os.Args) > 1 && os.Args[1] == "spans" {
-		if err := runSpans(os.Args[2:]); err != nil {
-			log.Fatalf("diablo-report: %v", err)
-		}
-		return
+	var err error
+	switch cmd {
+	case "trace":
+		err = runTrace(args[1:], stdout, stderr)
+	case "spans":
+		err = runSpans(args[1:], stdout, stderr)
+	case "bisect":
+		err = runBisect(args[1:], stdout, stderr)
+	default:
+		err = runResults(args, stdout, stderr)
 	}
-	if len(os.Args) > 1 && os.Args[1] == "bisect" {
-		if err := runBisect(os.Args[2:]); err != nil {
-			log.Fatalf("diablo-report: %v", err)
-		}
-		return
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	}
-	summary := flag.Bool("summary", false, "print the summary line instead of CSV")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage:
+	fmt.Fprintf(stderr, "diablo-report: %v\n", err)
+	return 1
+}
+
+// flagSet returns a subcommand's flag set, printing usage to stderr.
+func flagSet(name, usage string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, usage)
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// parse parses a subcommand's flags and requires nargs(fs.NArg()); a bad
+// flag or operand count is a usage error.
+func parse(fs *flag.FlagSet, args []string, nargs func(int) bool) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if !nargs(fs.NArg()) {
+		fs.Usage()
+		return errUsage
+	}
+	return nil
+}
+
+func some(n int) bool { return n > 0 }
+
+// runResults converts result JSON files to CSV, or prints each one's
+// summary line with --summary.
+func runResults(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("diablo-report", `usage:
   diablo-report [--summary] <results.json>...
   diablo-report trace [--check] [--json] <trace.jsonl[.gz]>...
   diablo-report spans [--critical-path|--flame|--json] <spans.jsonl[.gz]>...
-  diablo-report bisect [--json] <run-a-dir> <run-b-dir>`)
-		flag.PrintDefaults()
+  diablo-report bisect [--json] <run-a-dir> <run-b-dir>`, stderr)
+	summary := fs.Bool("summary", false, "print the summary line instead of CSV")
+	if err := parse(fs, args, some); err != nil {
+		return err
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		f, err := os.Open(path)
 		if err != nil {
-			log.Fatalf("diablo-report: %v", err)
+			return err
 		}
 		rep, err := collect.ReadJSON(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("diablo-report: %s: %v", path, err)
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		if *summary {
-			fmt.Println(collect.StatLine(rep))
-			report.RenderAdversary(os.Stdout, rep.Adversary)
-			report.RenderInvariants(os.Stdout, rep.Invariants)
+			fmt.Fprintln(stdout, collect.StatLine(rep))
+			report.RenderAdversary(stdout, rep.Adversary)
+			report.RenderInvariants(stdout, rep.Invariants)
 			continue
 		}
-		if err := collect.WriteCSV(os.Stdout, rep); err != nil {
-			log.Fatalf("diablo-report: %v", err)
+		if err := collect.WriteCSV(stdout, rep); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // runTrace parses lifecycle traces and renders the latency attribution
 // report (or just validates the schema with --check).
-func runTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+func runTrace(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("trace", "usage: diablo-report trace [--check] [--json] <trace.jsonl[.gz]>...", stderr)
 	check := fs.Bool("check", false, "validate the trace schema and print a one-line summary only")
 	asJSON := fs.Bool("json", false, "print the attribution as JSON instead of text")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: diablo-report trace [--check] [--json] <trace.jsonl[.gz]>...")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, some); err != nil {
 		return err
-	}
-	if fs.NArg() == 0 {
-		fs.Usage()
-		os.Exit(2)
 	}
 	for _, path := range fs.Args() {
 		f, err := os.Open(path)
@@ -116,18 +151,18 @@ func runTrace(args []string) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if *check {
-			fmt.Printf("%s: ok — %d events, %d txs, %d blocks, %d samples, %d faults\n",
+			fmt.Fprintf(stdout, "%s: ok — %d events, %d txs, %d blocks, %d samples, %d faults\n",
 				path, tr.Events, tr.Submitted, len(tr.Blocks), len(tr.Samples), len(tr.Faults))
 			continue
 		}
 		att := obs.Attribute(tr)
 		if *asJSON {
-			if err := writeJSON(os.Stdout, att); err != nil {
+			if err := writeJSON(stdout, att); err != nil {
 				return err
 			}
 			continue
 		}
-		report.RenderTrace(os.Stdout, tr, att)
+		report.RenderTrace(stdout, tr, att)
 	}
 	return nil
 }
@@ -135,21 +170,13 @@ func runTrace(args []string) error {
 // runSpans parses causal span files (`diablo run --spans=FILE`) and renders
 // the critical-path digest, the per-transaction paths, the folded
 // flamegraph stacks, or the analysis JSON.
-func runSpans(args []string) error {
-	fs := flag.NewFlagSet("spans", flag.ExitOnError)
+func runSpans(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("spans", "usage: diablo-report spans [--critical-path|--flame|--json] <spans.jsonl[.gz]>...", stderr)
 	crit := fs.Bool("critical-path", false, "print every committed transaction's critical path")
 	flame := fs.Bool("flame", false, "print folded flamegraph stacks in virtual time (flamegraph.pl / speedscope input)")
 	asJSON := fs.Bool("json", false, "print the analysis as JSON instead of text")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: diablo-report spans [--critical-path|--flame|--json] <spans.jsonl[.gz]>...")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, some); err != nil {
 		return err
-	}
-	if fs.NArg() == 0 {
-		fs.Usage()
-		os.Exit(2)
 	}
 	for _, path := range fs.Args() {
 		f, err := span.ReadFile(path)
@@ -158,17 +185,17 @@ func runSpans(args []string) error {
 		}
 		switch {
 		case *flame:
-			if err := f.WriteFolded(os.Stdout); err != nil {
+			if err := f.WriteFolded(stdout); err != nil {
 				return err
 			}
 		case *crit:
-			report.RenderTxPaths(os.Stdout, f)
+			report.RenderTxPaths(stdout, f)
 		case *asJSON:
-			if err := writeJSON(os.Stdout, span.Analyze(f)); err != nil {
+			if err := writeJSON(stdout, span.Analyze(f)); err != nil {
 				return err
 			}
 		default:
-			report.RenderSpans(os.Stdout, span.Analyze(f))
+			report.RenderSpans(stdout, span.Analyze(f))
 		}
 	}
 	return nil
@@ -178,30 +205,22 @@ func runSpans(args []string) error {
 // virtual-time window and subsystem where their state digests diverge.
 // Exits 1 (via the returned error) when the runs differ so scripts can
 // gate on the result.
-func runBisect(args []string) error {
-	fs := flag.NewFlagSet("bisect", flag.ExitOnError)
+func runBisect(args []string, stdout, stderr io.Writer) error {
+	fs := flagSet("bisect", "usage: diablo-report bisect [--json] <run-a-dir> <run-b-dir>", stderr)
 	asJSON := fs.Bool("json", false, "print the bisect report as JSON instead of text")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: diablo-report bisect [--json] <run-a-dir> <run-b-dir>")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, func(n int) bool { return n == 2 }); err != nil {
 		return err
-	}
-	if fs.NArg() != 2 {
-		fs.Usage()
-		os.Exit(2)
 	}
 	rep, err := snapshot.Bisect(fs.Arg(0), fs.Arg(1))
 	if err != nil {
 		return err
 	}
 	if *asJSON {
-		if err := writeJSON(os.Stdout, rep); err != nil {
+		if err := writeJSON(stdout, rep); err != nil {
 			return err
 		}
 	} else {
-		fmt.Print(rep.Format())
+		fmt.Fprint(stdout, rep.Format())
 	}
 	if !rep.Identical {
 		return fmt.Errorf("runs diverge (first divergent subsystem: %s)", divergentNames(rep))

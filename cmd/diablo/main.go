@@ -91,8 +91,8 @@ run flags:
                       N sim-seconds (mempool depth, block rate, commit lag)
   --trace=FILE        write a JSONL transaction lifecycle trace (.gz = gzip)
   --spans=FILE        write the causal span stream (.gz = gzip): every event,
-                      delivery, consensus phase and conflict as one causal
-                      tree per transaction; feed to "diablo-report spans"
+                      delivery and consensus phase as one causal tree per
+                      transaction; feed to "diablo-report spans"
   --spans-wall=FILE   write the wall-clock folded-stack self-profile (which
                       span labels burn real CPU; not deterministic)
   --metrics           sample the metrics registry every sim-second and embed
@@ -112,10 +112,7 @@ run flags:
                             resolves each seed's latest checkpoint
   --invariants              arm the agreement/validity/integrity/inclusion
                             monitors; any violation is printed and the run
-                            exits non-zero
-  --exec-workers=N          parallel intra-block execution workers; results
-                            are byte-identical at any count (-1 = take the
-                            spec's parallel-execution setting, 0/1 = serial)`)
+                            exits non-zero`)
 }
 
 // verbosity consumes -v/-vv/-vvv flags, returning the level and the rest.
@@ -243,7 +240,6 @@ func runLocal(args []string) error {
 	ckUntil := fs.String("checkpoint-until", "", "only write checkpoints at or before this virtual time (bisect refinement; plain number or duration)")
 	resume := fs.String("resume", "", "resume from a checkpoint file or directory: fast-forward deterministically and verify every subsystem at its virtual time")
 	invariants := fs.Bool("invariants", false, "arm the safety/liveness invariant monitors and exit non-zero on any violation")
-	execWorkers := fs.Int("exec-workers", -1, "parallel intra-block execution workers (results are byte-identical at any count; -1 = take the spec's parallel-execution setting, 0/1 = serial)")
 	if err := fs.Parse(mergeStatValue(args)); err != nil {
 		return err
 	}
@@ -303,12 +299,6 @@ func runLocal(args []string) error {
 	base.Invariants = base.Invariants || *invariants
 	base.Metrics = *metrics
 	base.SpecHash = sp.hash()
-	if *execWorkers >= 0 {
-		base.ExecWorkers = *execWorkers
-	}
-	if base.ExecWorkers > 1 {
-		logger(level)("parallel execution: %d workers", base.ExecWorkers)
-	}
 	exps := make([]bench.Experiment, *repeat)
 	var sinks []io.Closer
 	closeSinks := func() error {

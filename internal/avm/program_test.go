@@ -409,8 +409,8 @@ func TestRunMatchesExecuteOnDApps(t *testing.T) {
 }
 
 // TestProgramSharedByGoroutines runs one Program from four machines at once,
-// as the lanes of a parallel block do; under -race it shows that Run only
-// reads it.
+// as the cells of a parallel sweep do (dapps caches each compiled DApp
+// process-wide); under -race it shows that Run only reads it.
 func TestProgramSharedByGoroutines(t *testing.T) {
 	d, err := dapps.Get("uber")
 	if err != nil {

@@ -88,8 +88,8 @@ type Experiment struct {
 	Metrics bool
 	// Spans, when non-nil, receives the causal span JSONL stream (see
 	// internal/span and DESIGN.md §15): every scheduled event, delivery,
-	// consensus round, mempool admission and parallel-execution conflict
-	// as one causal tree per committed transaction, in virtual time.
+	// consensus round and mempool admission as one causal tree per
+	// committed transaction, in virtual time.
 	// Recording only observes, so the run's result, trace and checkpoints
 	// are byte-identical whether spans are on or off.
 	Spans io.Writer
@@ -123,10 +123,6 @@ type Experiment struct {
 	// SpecHash ties checkpoints to the raw setup+workload spec bytes;
 	// resume refuses a checkpoint recorded for a different spec.
 	SpecHash uint64
-	// ExecWorkers sets the intra-block parallel execution worker count
-	// (DESIGN.md §14). 0 or 1 executes serially; any value yields
-	// byte-identical results — only wall-clock time changes.
-	ExecWorkers int
 	// CheckpointFrom/CheckpointUntil bound checkpoint capture to a virtual
 	// time window (zero = unbounded on that side). Used by bisect
 	// refinement to re-run with a fine CheckpointEvery over just a
@@ -172,7 +168,6 @@ func FromSpec(setup *spec.Setup, b *spec.Benchmark) (Experiment, error) {
 		Invariants:       setup.Invariants,
 		InclusionHorizon: setup.InclusionHorizon,
 		Retry:            setup.Retry,
-		ExecWorkers:      setup.ExecWorkers,
 	}, nil
 }
 
@@ -314,13 +309,6 @@ type Outcome struct {
 	Adversary *AdversaryStats
 	// SpanRecords counts emitted span records (Experiment.Spans).
 	SpanRecords uint64
-	// Parallel-execution diagnostics (ExecWorkers > 1): blocks that took
-	// the parallel path, speculative commits, sequential fallbacks and
-	// read-after-write conflict edges.
-	ParallelBlocks uint64
-	SpecCommitted  uint64
-	Fallbacks      uint64
-	HazardEdges    uint64
 }
 
 // Digest hashes what the run simulated: its seed, summary, chain length,
@@ -457,7 +445,6 @@ func Run(e Experiment) (*Outcome, error) {
 	default:
 		net.Exec.CacheAfter = 0 // full fidelity
 	}
-	net.Exec.Workers = e.ExecWorkers
 
 	adapter := core.NewSimAdapter(net, w)
 
@@ -572,10 +559,6 @@ func Run(e Experiment) (*Outcome, error) {
 		Verified:    ck.verifiedAt(),
 		SpanRecords: spans.Emitted(),
 	}
-	out.ParallelBlocks = net.Exec.ParallelBlocks
-	out.SpecCommitted = net.Exec.SpecCommitted
-	out.Fallbacks = net.Exec.Fallbacks
-	out.HazardEdges = net.Exec.HazardEdges
 	out.InvariantsChecked = mon.Checked()
 	out.Violations = mon.Violations()
 	if advEng != nil {

@@ -27,10 +27,9 @@ type KneeOptions struct {
 	// so backlogged commits are measured (default 120s).
 	Probe time.Duration
 	Tail  time.Duration
-	// Seed, ScaleNodes and ExecWorkers pass through to the experiment.
-	Seed        int64
-	ScaleNodes  int
-	ExecWorkers int
+	// Seed and ScaleNodes pass through to the experiment.
+	Seed       int64
+	ScaleNodes int
 
 	// Stopping rules. A probe is unsustainable when the cluster crashed,
 	// the commit ratio fell below MinCommitRatio, p95 commit latency
@@ -109,13 +108,12 @@ func FindKnee(o KneeOptions) (*KneeResult, error) {
 
 	probe := func(tps float64) (KneeProbe, error) {
 		out, err := Run(Experiment{
-			Chain:       o.Chain,
-			Config:      o.Config,
-			Traces:      []*workloads.Trace{workloads.NativeConstant(tps, o.Probe)},
-			Seed:        o.Seed,
-			Tail:        o.Tail,
-			ScaleNodes:  o.ScaleNodes,
-			ExecWorkers: o.ExecWorkers,
+			Chain:      o.Chain,
+			Config:     o.Config,
+			Traces:     []*workloads.Trace{workloads.NativeConstant(tps, o.Probe)},
+			Seed:       o.Seed,
+			Tail:       o.Tail,
+			ScaleNodes: o.ScaleNodes,
 		})
 		if err != nil {
 			return KneeProbe{}, err

@@ -384,7 +384,6 @@ func (nd *Node) Broadcast(size int, payload any) {
 // transaction gets its "mempool.admit" anchor span.
 func (n *Network) SetSpans(r *span.Recorder) {
 	n.spans = r
-	n.Exec.spans = r
 	if r != nil {
 		n.Pool.SetAdmitHook(func(tx *types.Transaction, origin int, now time.Duration) {
 			r.PointTx(now, span.LabelAdmit, int32(origin), tx.ID())
@@ -563,9 +562,6 @@ func (n *Network) AssembleBlockBudgeted(proposer int, allowEmpty bool, maxTxs in
 	if len(txs) > 0 {
 		groups.byOrigin = make([][]decidedTx, len(n.Nodes))
 	}
-	// ApplyBlock executes serially or on the parallel worker pool
-	// (Exec.Workers, DESIGN.md §14); receipts are identical either way.
-	specBefore, fbBefore, hzBefore := n.Exec.SpecCommitted, n.Exec.Fallbacks, n.Exec.HazardEdges
 	n.spans.FrameEnter("exec.apply")
 	receipts := n.Exec.ApplyBlock(txs, blk, n.Params)
 	n.spans.FrameExit()
@@ -606,10 +602,6 @@ func (n *Network) AssembleBlockBudgeted(proposer int, allowEmpty bool, maxTxs in
 			for _, tx := range txs {
 				n.tracer.Include(now, tx.ID(), blk.Number)
 			}
-			if n.Exec.Workers > 1 {
-				n.tracer.Pexec(now, blk.Number, n.Exec.SpecCommitted-specBefore,
-					n.Exec.Fallbacks-fbBefore, n.Exec.HazardEdges-hzBefore)
-			}
 		}
 	}
 	return blk, Cost{Assemble: assemble, Validate: validate}
@@ -645,15 +637,6 @@ func (n *Network) DeliverBlock(idx int, blk *types.Block) {
 			delete(n.blockIndex, blk)
 			delete(n.conflicts, blk)
 		}
-	}
-}
-
-// DeliverToAll announces commitment of blk to every node immediately
-// (used by tests and simple engines where dissemination was already
-// modeled).
-func (n *Network) DeliverToAll(blk *types.Block) {
-	for i := range n.Nodes {
-		n.DeliverBlock(i, blk)
 	}
 }
 

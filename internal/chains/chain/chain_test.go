@@ -208,6 +208,11 @@ func TestConfirmDepthDefersDecision(t *testing.T) {
 	params := testParams()
 	params.ConfirmDepth = 2
 	sched, net := deployTest(t, params, 2)
+	deliverToAll := func(blk *types.Block) {
+		for i := range net.Nodes {
+			net.DeliverBlock(i, blk)
+		}
+	}
 	w := wallet.New(wallet.FastScheme{}, "conf", 2)
 	c := net.NewClient(0)
 	decided := 0
@@ -216,17 +221,17 @@ func TestConfirmDepthDefersDecision(t *testing.T) {
 	sched.RunFor(time.Second)
 
 	blk1, _ := net.AssembleBlock(0, false)
-	net.DeliverToAll(blk1)
+	deliverToAll(blk1)
 	if decided != 0 {
 		t.Fatal("decided before confirmation depth")
 	}
 	blk2, _ := net.AssembleBlock(0, true)
-	net.DeliverToAll(blk2)
+	deliverToAll(blk2)
 	if decided != 0 {
 		t.Fatal("decided one block early")
 	}
 	blk3, _ := net.AssembleBlock(0, true)
-	net.DeliverToAll(blk3)
+	deliverToAll(blk3)
 	if decided != 1 {
 		t.Fatalf("decided = %d after depth reached", decided)
 	}

@@ -8,7 +8,6 @@ import (
 	"diablo/internal/avm"
 	"diablo/internal/dapps"
 	"diablo/internal/minisol"
-	"diablo/internal/span"
 	"diablo/internal/trie"
 	"diablo/internal/types"
 	"diablo/internal/vm"
@@ -29,8 +28,7 @@ func nodeAddress(i int) types.Address {
 type Contract struct {
 	Address types.Address
 	Code    []byte
-	// Program is Code decoded once at deployment; it is immutable, so the
-	// lanes of a parallel block share it.
+	// Program is Code decoded once at deployment.
 	Program *vm.Program
 	ABI     *minisol.Compiled
 	Storage *vmprofiles.CountingStorage
@@ -69,28 +67,10 @@ type Executor struct {
 	commitTrie *trie.Trie
 	commitFlat *trie.FlatAccumulator
 
-	// Workers enables parallel intra-block execution (DESIGN.md §14):
-	// blocks with at least minParallelTxs transactions speculate on a
-	// pool of this many workers and commit in canonical order, with
-	// results byte-identical to serial execution. <= 1 executes serially.
-	Workers int //lint:allow snapshotdrift run configuration set at setup, fixed during a run
-	// engines are the per-worker interpreters of the parallel pass (the
-	// shared e.engine is not safe for concurrent use). Grown lazily.
-	engines []*engine //lint:allow snapshotdrift interpreter free pool; allocation cache, not replay state
-
-	// Parallel-execution diagnostics. They depend on the worker count, so
-	// they are deliberately excluded from SnapshotState and the default
-	// result JSON: checkpoints and outputs stay identical across worker
-	// counts. (`diablo run` surfaces them, as omitempty summary fields,
-	// only when --exec-workers > 1.)
-	ParallelBlocks uint64 //lint:allow snapshotdrift reporting counter (blocks on the parallel path) for the result table, not replay state
-	SpecCommitted  uint64 //lint:allow snapshotdrift reporting counter (speculatively committed txs) for the result table, not replay state
-	Fallbacks      uint64 //lint:allow snapshotdrift reporting counter (sequential re-executions) for the result table, not replay state
-	HazardEdges    uint64 //lint:allow snapshotdrift reporting counter (conflict-graph RAW edges) for the result table, not replay state
-
-	// spans, when attached (Network.SetSpans), receives per-key conflict
-	// attributions from the parallel commit scan; nil-disabled.
-	spans *span.Recorder
+	// Deprecated: Workers selects nothing; execution is always serial.
+	// benchmark/stage_parallel.go is its only writer, and the change that
+	// retires that stage deletes both.
+	Workers int //lint:allow snapshotdrift written only by a benchmark stage; read by nothing
 }
 
 // engine is what interprets contract calls one at a time: an interpreter for
@@ -173,8 +153,10 @@ func (e *Executor) StateRoot() types.Hash {
 	}
 }
 
-// commitBalance folds a balance update into the state commitment.
-func (e *Executor) commitBalance(a types.Address, balance uint64) {
+// putBalance sets an account's balance and folds the update into the state
+// commitment.
+func (e *Executor) putBalance(a types.Address, balance uint64) {
+	e.balances[a] = balance
 	if e.commitTrie == nil && e.commitFlat == nil {
 		return
 	}
@@ -352,99 +334,30 @@ func (c *Contract) InvokeData(fn string, args []uint64, extraBytes int) ([]byte,
 	return out, nil
 }
 
-// execState abstracts the replicated state one transaction executes
-// against, so the same transition function (applyOn) drives both the
-// canonical serial path (the Executor's own maps) and the parallel
-// executor's speculative lanes (buffered overlays with read/write-set
-// recording, see exec_parallel.go). Any behavioral divergence between the
-// two would break the parallel == serial byte-identity guarantee, which is
-// why there is exactly one transition function.
-type execState interface {
-	vmProfile() *vmprofiles.Profile
-	vmEngine() *engine
-	getBalance(a types.Address) uint64
-	putBalance(a types.Address, v uint64)
-	getNonce(a types.Address) uint64
-	putNonce(a types.Address, v uint64)
-	getContract(a types.Address) (*Contract, bool)
-	putContract(a types.Address, c *Contract)
-	contractStorage(c *Contract) vm.Storage
-	contractAppState(c *Contract) avm.KVStore
-	cacheThreshold() int
-	getCache(k cacheKey) (cacheEntry, bool)
-	putCache(k cacheKey, e cacheEntry)
-	noteExecuted()
-	noteReplayed()
-}
-
-// The Executor itself is the canonical execState.
-
-func (e *Executor) vmProfile() *vmprofiles.Profile { return e.profile }
-func (e *Executor) vmEngine() *engine              { return e.engine }
-func (e *Executor) getBalance(a types.Address) uint64 {
-	return e.Balance(a)
-}
-func (e *Executor) putBalance(a types.Address, v uint64) {
-	e.balances[a] = v
-	e.commitBalance(a, v)
-}
-func (e *Executor) getNonce(a types.Address) uint64    { return e.nonces[a] }
-func (e *Executor) putNonce(a types.Address, v uint64) { e.nonces[a] = v }
-func (e *Executor) getContract(a types.Address) (*Contract, bool) {
-	c, ok := e.contracts[a]
-	return c, ok
-}
-func (e *Executor) putContract(a types.Address, c *Contract) { e.contracts[a] = c }
-func (e *Executor) contractStorage(c *Contract) vm.Storage   { return c.Storage }
-func (e *Executor) contractAppState(c *Contract) avm.KVStore { return c.AppState }
-func (e *Executor) cacheThreshold() int                      { return e.CacheAfter }
-func (e *Executor) getCache(k cacheKey) (cacheEntry, bool) {
-	if p := e.cache[k]; p != nil {
-		return *p, true
-	}
-	return cacheEntry{}, false
-}
-func (e *Executor) putCache(k cacheKey, ce cacheEntry) {
-	if p := e.cache[k]; p != nil {
-		*p = ce
-	} else {
-		v := ce
-		e.cache[k] = &v
-	}
-}
-func (e *Executor) noteExecuted() { e.Executed++ }
-func (e *Executor) noteReplayed() { e.Replayed++ }
-
 // Apply executes one transaction in a block's context, returning the
 // receipt. The caller (block assembly) is responsible for gas-limit
 // admission; Apply never rejects for block-level reasons.
 func (e *Executor) Apply(tx *types.Transaction, blk *types.Block, p Params) *types.Receipt {
-	return applyOn(e, tx, blk, p)
-}
-
-// applyOn is the single transaction transition function, parameterized
-// over the state it executes against.
-func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *types.Receipt {
 	r := &types.Receipt{TxID: tx.ID(), Block: blk.Number}
 	switch tx.Kind {
 	case types.KindTransfer:
-		from, to := st.getBalance(tx.From), st.getBalance(tx.To)
+		from, to := e.Balance(tx.From), e.Balance(tx.To)
 		if from < tx.Value {
 			r.Status = types.StatusInvalid
 			r.Error = "insufficient balance"
 			r.GasUsed = vm.GasTxBase
 			return r
 		}
-		st.putBalance(tx.From, from-tx.Value)
-		st.putBalance(tx.To, to+tx.Value)
-		st.putNonce(tx.From, st.getNonce(tx.From)+1)
+		e.putBalance(tx.From, from-tx.Value)
+		e.putBalance(tx.To, to+tx.Value)
+		e.nonces[tx.From]++
 		r.Status = types.StatusOK
 		r.GasUsed = vm.GasTxBase
-		st.noteExecuted()
+		e.Executed++
 		return r
 
 	case types.KindInvoke:
-		c, ok := st.getContract(tx.To)
+		c, ok := e.contracts[tx.To]
 		if !ok {
 			r.Status = types.StatusInvalid
 			r.Error = "no contract at address"
@@ -467,18 +380,23 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 		if len(tx.Data) >= 8 {
 			key.selector = binary.BigEndian.Uint64(tx.Data[:8])
 		}
-		entry, _ := st.getCache(key)
-		if st.cacheThreshold() > 0 && entry.runs >= st.cacheThreshold() {
+		entry := e.cache[key]
+		if e.CacheAfter > 0 && entry != nil && entry.runs >= e.CacheAfter {
 			// Replay the measured outcome without interpreting.
 			r.Status = entry.status
 			r.GasUsed = intrinsic + entry.gasSum/uint64(entry.runs)
 			r.Error = entry.errText
-			st.noteReplayed()
-			st.putNonce(tx.From, st.getNonce(tx.From)+1)
+			e.Replayed++
+			e.nonces[tx.From]++
 			return r
 		}
+		if entry == nil {
+			entry = &cacheEntry{}
+			e.cache[key] = entry
+		}
 
-		eng := st.vmEngine()
+		eng := e.engine
+		var gas uint64
 		if c.AVM != nil {
 			// Execute on the real AVM with its hard opcode budget.
 			res := eng.machine.Run(c.AVM.Decoded, &avm.Context{
@@ -486,7 +404,7 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 				Args:   eng.decodeCalldata(tx.Data),
 				Round:  blk.Number,
 				Time:   uint64(blk.Timestamp / time.Second),
-				State:  st.contractAppState(c),
+				State:  c.AppState,
 			})
 			switch res.Outcome {
 			case avm.Approved:
@@ -498,63 +416,54 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 			}
 			// Scale opcode counts to the common gas dimension so the
 			// execution-time model stays comparable across chains.
-			r.GasUsed = intrinsic + res.OpsUsed*avmOpGas
+			gas = res.OpsUsed * avmOpGas
 			if res.Err != nil {
 				r.Error = res.Err.Error()
 			}
-			entry.runs++
-			entry.status = r.Status
-			entry.gasSum += res.OpsUsed * avmOpGas
-			entry.errText = r.Error
-			st.putCache(key, entry)
-			st.noteExecuted()
-			st.putNonce(tx.From, st.getNonce(tx.From)+1)
-			return r
+		} else {
+			res := e.profile.Execute(eng.interp, c.Program, &vm.Context{
+				Contract:  c.Address,
+				Caller:    vm.CallerWord(tx.From),
+				Value:     tx.Value,
+				Calldata:  eng.decodeCalldata(tx.Data),
+				BlockNum:  blk.Number,
+				BlockTime: uint64(blk.Timestamp / time.Second),
+				GasLimit:  limit - intrinsic,
+				Storage:   c.Storage,
+			})
+			r.Status = res.Status
+			gas = res.GasUsed
+			r.Events = res.Events
+			if res.Err != nil {
+				r.Error = res.Err.Error()
+			}
 		}
-
-		res := st.vmProfile().Execute(eng.interp, c.Program, &vm.Context{
-			Contract:  c.Address,
-			Caller:    vm.CallerWord(tx.From),
-			Value:     tx.Value,
-			Calldata:  eng.decodeCalldata(tx.Data),
-			BlockNum:  blk.Number,
-			BlockTime: uint64(blk.Timestamp / time.Second),
-			GasLimit:  limit - intrinsic,
-			Storage:   st.contractStorage(c),
-		})
-		r.Status = res.Status
-		r.GasUsed = intrinsic + res.GasUsed
-		r.Events = res.Events
-		if res.Err != nil {
-			r.Error = res.Err.Error()
-		}
+		r.GasUsed = intrinsic + gas
 		entry.runs++
-		entry.status = res.Status
-		entry.gasSum += res.GasUsed
+		entry.status = r.Status
+		entry.gasSum += gas
 		entry.errText = r.Error
-		st.putCache(key, entry)
-		st.noteExecuted()
-		st.putNonce(tx.From, st.getNonce(tx.From)+1)
+		e.Executed++
+		e.nonces[tx.From]++
 		return r
 
 	case types.KindDeploy:
 		// In-band deployment: install bytecode carried in Data. The DApp
 		// suite deploys out of band via DeployContract; this path supports
 		// the extensibility example.
-		nonce := st.getNonce(tx.From)
-		addr := types.ContractAddress(tx.From, nonce)
-		st.putNonce(tx.From, nonce+1)
+		addr := types.ContractAddress(tx.From, e.nonces[tx.From])
+		e.nonces[tx.From]++
 		code := append([]byte(nil), tx.Data...)
-		st.putContract(addr, &Contract{
+		e.contracts[addr] = &Contract{
 			Address: addr,
 			Code:    code,
 			Program: vm.Decode(code),
 			Storage: vmprofiles.NewCountingStorage(),
-		})
+		}
 		r.Status = types.StatusOK
 		r.GasUsed = vm.ChargeIntrinsic(len(tx.Data)) + 32000
 		r.Contract = addr
-		st.noteExecuted()
+		e.Executed++
 		return r
 
 	default:
@@ -562,4 +471,14 @@ func applyOn(st execState, tx *types.Transaction, blk *types.Block, p Params) *t
 		r.Error = "unknown transaction kind"
 		return r
 	}
+}
+
+// ApplyBlock executes a block's transactions in order and returns their
+// receipts.
+func (e *Executor) ApplyBlock(txs []*types.Transaction, blk *types.Block, p Params) []*types.Receipt {
+	receipts := make([]*types.Receipt, len(txs))
+	for i, tx := range txs {
+		receipts[i] = e.Apply(tx, blk, p)
+	}
+	return receipts
 }

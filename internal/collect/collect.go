@@ -60,17 +60,6 @@ type Summary struct {
 	CommittedPerSec []int  `json:"committed_per_sec"`
 }
 
-// PexecSummary reports the parallel intra-block execution diagnostics
-// (DESIGN.md §14). It is only attached when the run used --exec-workers
-// > 1, so serial reports stay byte-identical to pre-parallel ones.
-type PexecSummary struct {
-	Workers        int    `json:"workers"`
-	ParallelBlocks uint64 `json:"parallel_blocks"`
-	SpecCommitted  uint64 `json:"spec_committed"`
-	Fallbacks      uint64 `json:"fallbacks"`
-	HazardEdges    uint64 `json:"hazard_edges"`
-}
-
 // InvariantViolation is one monitor breach in the output JSON. All
 // timestamps are virtual, so equal-seed runs produce identical records.
 type InvariantViolation struct {
@@ -115,8 +104,6 @@ type Report struct {
 	// counters (a `byzantine:` spec section).
 	Invariants *InvariantReport  `json:"invariants,omitempty"`
 	Adversary  *AdversarySummary `json:"adversary,omitempty"`
-	// Pexec carries the parallel-execution counters (--exec-workers > 1).
-	Pexec *PexecSummary `json:"pexec,omitempty"`
 	// Metrics is the sampled sim-time metrics timeline (--metrics), and
 	// LinkTraffic the per-region-pair simnet traffic aggregate.
 	Metrics      *obs.Snapshot     `json:"metrics,omitempty"`
@@ -161,15 +148,6 @@ func FromOutcome(out *bench.Outcome, includeTxs bool) *Report {
 		Recovery:    RecoveryFrom(out),
 		Metrics:     out.Metrics,
 		LinkTraffic: out.Links,
-	}
-	if out.Experiment.ExecWorkers > 1 {
-		rep.Pexec = &PexecSummary{
-			Workers:        out.Experiment.ExecWorkers,
-			ParallelBlocks: out.ParallelBlocks,
-			SpecCommitted:  out.SpecCommitted,
-			Fallbacks:      out.Fallbacks,
-			HazardEdges:    out.HazardEdges,
-		}
 	}
 	if out.DeployErr != nil {
 		rep.Summary.DeployError = out.DeployErr.Error()

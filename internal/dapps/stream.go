@@ -39,9 +39,8 @@ contract DecentralizedNft {
 }`
 
 // DexSource is the arbitrage-bot target: a constant-product pool whose
-// every swap reads and writes both reserves. Swaps in either direction
-// conflict unconditionally, feeding the parallel-execution conflict
-// attribution of DESIGN.md §14 with a worst-case workload.
+// every swap reads and writes both reserves, so swaps in either direction
+// touch the same two storage slots.
 const DexSource = `
 contract DexPool {
 	uint reserveA;

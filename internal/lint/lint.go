@@ -62,7 +62,6 @@ func DefaultDeterministic(modPath string) []string {
 		modPath + "/internal/mempool",
 		modPath + "/internal/snapshot",
 		modPath + "/internal/core",
-		modPath + "/internal/pexec",
 		modPath + "/internal/span",
 		modPath + "/internal/stream",
 	}

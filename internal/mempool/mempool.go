@@ -298,12 +298,3 @@ func (p *Pool) RemoveCommitted(ids map[types.Hash]struct{}) int {
 	p.entries = kept
 	return removed
 }
-
-// OldestSeen returns the submission time of the oldest pending entry, or
-// false when empty (used to detect backlog growth).
-func (p *Pool) OldestSeen() (time.Duration, bool) {
-	if len(p.entries) == 0 {
-		return 0, false
-	}
-	return p.entries[0].Seen, true
-}

@@ -226,18 +226,6 @@ func TestRemoveCommitted(t *testing.T) {
 	}
 }
 
-func TestOldestSeen(t *testing.T) {
-	p := New(Policy{}, nil)
-	if _, ok := p.OldestSeen(); ok {
-		t.Fatal("empty pool has an oldest entry")
-	}
-	p.Add(tx(1, 0), 0, 5*time.Second)
-	p.Add(tx(1, 1), 0, 9*time.Second)
-	if at, ok := p.OldestSeen(); !ok || at != 5*time.Second {
-		t.Fatalf("OldestSeen = %v, %v", at, ok)
-	}
-}
-
 // Property: the pool never exceeds its capacity and never loses or
 // duplicates transactions across arbitrary add/take sequences.
 func TestPoolInvariantsProperty(t *testing.T) {

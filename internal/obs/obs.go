@@ -40,7 +40,6 @@ const (
 
 	KindByzantine = "byzantine" // a byzantine behavior window applied/cleared/fired
 	KindViolation = "violation" // an invariant monitor detected a violation
-	KindPexec     = "pexec"     // parallel-execution diagnostics for one block
 )
 
 // Tracer emits lifecycle events as JSONL. All methods are safe on a nil
@@ -290,22 +289,6 @@ func (t *Tracer) Block(at time.Duration, number uint64, txs int, gasUsed, gasLim
 	t.intField("assemble_ns", int64(assemble))
 	t.intField("validate_ns", int64(validate))
 	t.intField("proposer", int64(proposer))
-	t.end()
-}
-
-// Pexec records one block's parallel-execution outcome (--exec-workers
-// > 1): how many transactions committed straight from speculation, how
-// many fell back to sequential re-execution, and how many read-after-write
-// hazard edges the conflict graph held.
-func (t *Tracer) Pexec(at time.Duration, block uint64, spec, fallback, edges uint64) {
-	if t == nil {
-		return
-	}
-	t.head(at, KindPexec)
-	t.uintField("block", block)
-	t.uintField("spec", spec)
-	t.uintField("fallback", fallback)
-	t.uintField("edges", edges)
 	t.end()
 }
 

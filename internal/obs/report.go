@@ -54,15 +54,6 @@ type FaultNote struct {
 	Note  string
 }
 
-// PexecStats aggregates the trace's per-block parallel-execution events
-// (runs with --exec-workers > 1 emit one "pexec" line per block).
-type PexecStats struct {
-	Blocks    int    // blocks carrying a pexec event
-	Spec      uint64 // transactions committed straight from speculation
-	Fallbacks uint64 // transactions re-executed sequentially
-	Edges     uint64 // read-after-write hazard edges across conflict graphs
-}
-
 // Trace is a fully parsed trace file.
 type Trace struct {
 	Chain       string
@@ -76,8 +67,6 @@ type Trace struct {
 	Blocks  map[uint64]*BlockInfo
 	Samples []Sample
 	Faults  []FaultNote
-	// Pexec is nil unless the trace carries parallel-execution events.
-	Pexec *PexecStats
 
 	// Terminal classification of every span.
 	Submitted, Committed, Rejected, TimedOut, Pending int
@@ -106,9 +95,6 @@ type rawEvent struct {
 	Seed       int64     `json:"seed"`
 	IntervalNS int64     `json:"interval_ns"`
 	Metrics    []string  `json:"metrics"`
-	Spec       uint64    `json:"spec"`
-	Fallback   uint64    `json:"fallback"`
-	Edges      uint64    `json:"edges"`
 }
 
 // ReadTrace parses (and schema-validates) a JSONL trace, transparently
@@ -244,14 +230,6 @@ func (tr *Trace) apply(ev *rawEvent, lineNo int) error {
 			Validate: time.Duration(ev.ValidateNS),
 			Proposer: ev.Proposer,
 		}
-	case KindPexec:
-		if tr.Pexec == nil {
-			tr.Pexec = &PexecStats{}
-		}
-		tr.Pexec.Blocks++
-		tr.Pexec.Spec += ev.Spec
-		tr.Pexec.Fallbacks += ev.Fallback
-		tr.Pexec.Edges += ev.Edges
 	case KindFault:
 		tr.Faults = append(tr.Faults, FaultNote{At: at, Phase: ev.Phase, Note: ev.Note})
 	case KindSample:

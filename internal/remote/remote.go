@@ -156,10 +156,13 @@ const resultBatch = 4096
 // dialWait bounds how long a Secondary retries a refused connection, since
 // it may start before its Primary listens; helloWait bounds how long the
 // Primary waits for a connected peer's hello and, once it has sent a
-// Secondary its results, for the stats ack. Only tests change them.
+// Secondary its results, for the stats ack; registerWait bounds how long
+// the Primary waits for all its Secondaries to connect and a Secondary
+// waits for its assignment. Only tests change them.
 var (
-	dialWait  = 10 * time.Second
-	helloWait = 10 * time.Second
+	dialWait     = 10 * time.Second
+	helloWait    = 10 * time.Second
+	registerWait = 60 * time.Second
 )
 
 // dial connects to the Primary, retrying a refused connection until
@@ -271,17 +274,22 @@ func RunPrimary(cfg PrimaryConfig) (*bench.Outcome, []SecondaryStats, error) {
 	defer ln.Close()
 	cfg.logf("primary listening on %s, waiting for %d secondaries", ln.Addr(), k)
 
-	// Phase 1: registration.
+	// Phase 1: registration. A Secondary that never connects fails the
+	// run instead of holding the Primary, and those already connected,
+	// forever.
 	conns := make([]*conn, 0, k)
 	defer func() {
 		for _, c := range conns {
 			c.c.Close()
 		}
 	}()
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(registerWait)); err != nil {
+		return nil, nil, fmt.Errorf("remote: registration deadline: %w", err)
+	}
 	for len(conns) < k {
 		c, err := ln.Accept()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("remote: %d of %d secondaries registered within %v: %w", len(conns), k, registerWait, err)
 		}
 		cc := newConn(c)
 		// A peer that connects and stays silent fails registration instead
@@ -345,9 +353,6 @@ func RunPrimary(cfg PrimaryConfig) (*bench.Outcome, []SecondaryStats, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("remote: secondary %d: transaction %d: %w", i, g, err)
 			}
-			// Fix the ID before the run, as sealing does in process: the
-			// lanes of a parallel block read it concurrently.
-			tx.ID()
 			uploads[g] = tx
 			n++
 		}
@@ -438,9 +443,17 @@ func RunSecondary(cfg SecondaryConfig) (*SecondaryStats, error) {
 	if err := cc.send(&Message{Type: "hello", Location: cfg.Location}); err != nil {
 		return nil, err
 	}
+	// The Primary assigns shares once all its Secondaries have registered,
+	// which it waits registerWait for.
+	if err := c.SetReadDeadline(time.Now().Add(registerWait)); err != nil {
+		return nil, fmt.Errorf("remote: assign deadline: %w", err)
+	}
 	assign, err := cc.recv()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("remote: no assign message from the primary: %w", err)
+	}
+	if err := c.SetReadDeadline(time.Time{}); err != nil {
+		return nil, fmt.Errorf("remote: clearing assign deadline: %w", err)
 	}
 	if assign.Type != "assign" {
 		return nil, fmt.Errorf("remote: expected assign, got %q", assign.Type)

@@ -369,6 +369,35 @@ func TestPrimaryRejectsSilentPeer(t *testing.T) {
 	primaryError(t, done, "no hello")
 }
 
+// TestPrimaryRegistrationDeadline: a Primary waiting for two Secondaries
+// with only one connected fails once registerWait has passed, naming how
+// many registered, and the connected Secondary fails naming the assignment
+// it never received, instead of both waiting until killed.
+func TestPrimaryRegistrationDeadline(t *testing.T) {
+	defer func(w time.Duration) { registerWait = w }(registerWait)
+	registerWait = time.Second
+	cfg := primaryConfig(t, devnet("quorum"), transferYAML, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := RunPrimary(cfg)
+		done <- err
+	}()
+	secDone := make(chan error, 1)
+	go func() {
+		_, err := RunSecondary(SecondaryConfig{Primary: cfg.Listen})
+		secDone <- err
+	}()
+	primaryError(t, done, "1 of 2 secondaries registered")
+	select {
+	case err := <-secDone:
+		if err == nil || !strings.Contains(err.Error(), "no assign message") {
+			t.Fatalf("secondary returned %v, want an error naming the missing assign message", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("secondary still waiting for its assignment")
+	}
+}
+
 // TestPrimaryBoundsFrames: a hello of exactly maxFrame bytes registers, and
 // one byte more fails the Primary with an error naming the peer before it
 // buffers the rest.

@@ -9,7 +9,7 @@ import (
 
 // RenderSpans prints the span digest: aggregate critical-path attribution
 // over committed transactions and blocks, the slowest transaction's full
-// path, and the hottest parallel-execution conflict keys.
+// path.
 func RenderSpans(w io.Writer, a *span.Analysis) {
 	fmt.Fprintf(w, "spans: %s seed %d — %d spans, %d committed txs, %d blocks\n",
 		a.Chain, a.Seed, a.Spans, a.Txs, a.Blocks)
@@ -21,20 +21,6 @@ func RenderSpans(w io.Writer, a *span.Analysis) {
 		fmt.Fprintf(w, "\nslowest tx %s: %s (submitted %.2fs, committed %.2fs)\n",
 			s.Tx, fmtDur(s.Latency), s.Submit.Seconds(), s.Commit.Seconds())
 		renderPath(w, s.Path)
-	}
-
-	if len(a.Conflicts) > 0 {
-		fmt.Fprintf(w, "\nhot conflict keys (parallel-execution fallback attribution):\n")
-		top := a.Conflicts
-		if len(top) > 10 {
-			top = top[:10]
-		}
-		for _, c := range top {
-			fmt.Fprintf(w, "  %8d  %s\n", c.Count, c.Key)
-		}
-		if len(a.Conflicts) > len(top) {
-			fmt.Fprintf(w, "  ... %d more keys\n", len(a.Conflicts)-len(top))
-		}
 	}
 }
 

@@ -32,11 +32,6 @@ func RenderTrace(w io.Writer, tr *obs.Trace, att *obs.Attribution) {
 			att.MeanResidualShare*100, att.MaxResidualShare*100)
 	}
 
-	if p := tr.Pexec; p != nil {
-		fmt.Fprintf(w, "\nparallel execution (%d blocks): %d speculative commits, %d fallbacks, %d hazard edges\n",
-			p.Blocks, p.Spec, p.Fallbacks, p.Edges)
-	}
-
 	if len(tr.Faults) > 0 {
 		fmt.Fprintf(w, "\nfaults:\n")
 		for _, f := range tr.Faults {

@@ -205,7 +205,7 @@ func aggregate(paths [][]Contribution) []SubsystemShare {
 
 // Analysis is the digest `diablo-report spans` renders: aggregate
 // critical-path attribution over every committed transaction and block,
-// the slowest transaction's full path, and the hot conflict keys.
+// and the slowest transaction's full path.
 type Analysis struct {
 	Chain     string           `json:"chain"`
 	Seed      int64            `json:"seed"`
@@ -215,7 +215,6 @@ type Analysis struct {
 	TxShares  []SubsystemShare `json:"tx_shares"`
 	BlkShares []SubsystemShare `json:"block_shares"`
 	Slowest   *TxPath          `json:"slowest_tx,omitempty"`
-	Conflicts []Conflict       `json:"conflicts,omitempty"`
 }
 
 // Analyze computes the standard report over a parsed span file.
@@ -242,7 +241,5 @@ func Analyze(f *File) *Analysis {
 		blkPaths[i] = blocks[i].Path
 	}
 	a.BlkShares = aggregate(blkPaths)
-	a.Conflicts = append(a.Conflicts, f.Conflicts...)
-	sort.SliceStable(a.Conflicts, func(i, j int) bool { return a.Conflicts[i].Count > a.Conflicts[j].Count })
 	return a
 }

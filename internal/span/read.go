@@ -28,21 +28,14 @@ type Span struct {
 // Dur returns the span's virtual duration.
 func (s Span) Dur() time.Duration { return s.End - s.Start }
 
-// Conflict is one per-key fallback-attribution record.
-type Conflict struct {
-	Key   string
-	Count uint64
-}
-
 // File is a fully parsed span file. Spans appear in emission order, which
 // is end-time order — a parent event span always precedes its event
 // children (interval spans may close, and thus appear, after theirs).
 type File struct {
-	Chain     string
-	Seed      int64
-	Nodes     int
-	Spans     []Span
-	Conflicts []Conflict
+	Chain string
+	Seed  int64
+	Nodes int
+	Spans []Span
 
 	byID map[uint64]int // span id -> index into Spans
 }
@@ -72,9 +65,6 @@ type rawRecord struct {
 	Chain string `json:"chain"`
 	Seed  int64  `json:"seed"`
 	Nodes int    `json:"nodes"`
-
-	Key   string `json:"key"`
-	Count uint64 `json:"count"`
 }
 
 // Read parses a span stream. Unknown record kinds are errors: a span file
@@ -113,8 +103,6 @@ func Read(r io.Reader) (*File, error) {
 			}
 			f.byID[s.ID] = len(f.Spans)
 			f.Spans = append(f.Spans, s)
-		case KindConflict:
-			f.Conflicts = append(f.Conflicts, Conflict{Key: rec.Key, Count: rec.Count})
 		default:
 			return nil, fmt.Errorf("span: line %d: unknown record kind %q", line, rec.Kind)
 		}

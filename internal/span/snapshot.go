@@ -1,14 +1,9 @@
 package span
 
-import (
-	"sort"
-
-	"diablo/internal/snapshot"
-)
+import "diablo/internal/snapshot"
 
 // SnapshotState implements snapshot.Stater: the id allocator position,
-// emission counters, in-flight span counts and a digest over the conflict
-// table (sorted by key). A resumed run fast-forwards from t=0 through the
+// emission counters and in-flight span counts. A resumed run fast-forwards from t=0 through the
 // same deterministic event stream, so every field reconciles exactly at
 // the checkpoint's virtual time.
 func (r *Recorder) SnapshotState(e *snapshot.Encoder) {
@@ -18,15 +13,4 @@ func (r *Recorder) SnapshotState(e *snapshot.Encoder) {
 	e.U64("pending", uint64(len(r.pending)))
 	e.U64("open", uint64(len(r.open)))
 	e.U64("stack", uint64(len(r.stack)))
-	keys := make([]string, 0, len(r.conflicts))
-	for k := range r.conflicts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := snapshot.NewHash()
-	for _, k := range keys {
-		h.Str(k)
-		h.U64(r.conflicts[k])
-	}
-	e.U64("conflict_digest", h.Sum())
 }

@@ -1,11 +1,10 @@
 // Package span is the causal span layer: every scheduled event, simnet
-// delivery, consensus round, mempool admission and parallel-execution
-// phase opens a span carrying a parent reference, so each committed
-// transaction yields a complete causal tree in virtual time. On top of
-// the recorded tree sit critical-path extraction (per tx and per block,
-// with per-subsystem contributions summing exactly to commit latency),
-// a folded-stack flamegraph exporter, and per-key conflict attribution
-// for the parallel executor.
+// delivery, consensus round and mempool admission opens a span carrying a
+// parent reference, so each committed transaction yields a complete causal
+// tree in virtual time. On top of the recorded tree sit critical-path
+// extraction (per tx and per block, with per-subsystem contributions
+// summing exactly to commit latency) and a folded-stack flamegraph
+// exporter.
 //
 // Like the tracer in internal/obs, every hook is safe (and free) on a
 // nil *Recorder, all timestamps are virtual scheduler time, and records
@@ -19,7 +18,6 @@ package span
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 
@@ -29,9 +27,8 @@ import (
 
 // Record kinds, as they appear in the JSONL "kind" field.
 const (
-	KindMeta     = "meta"     // first line: chain, seed, node count
-	KindSpan     = "span"     // one closed span
-	KindConflict = "conflict" // per-key fallback attribution, emitted at Finish
+	KindMeta = "meta" // first line: chain, seed, node count
+	KindSpan = "span" // one closed span
 )
 
 // kindLabels maps a scheduler event kind to its default span label. The
@@ -95,8 +92,6 @@ type Recorder struct {
 	hintLabel string //lint:allow snapshotdrift pending span hint; observer wiring
 	hintNode  int32  //lint:allow snapshotdrift pending span hint; observer wiring
 
-	conflicts map[string]uint64
-
 	wall *wallProfile //lint:allow snapshotdrift wall-clock sidecar (nil unless enabled); measurement-side only
 }
 
@@ -105,12 +100,11 @@ type Recorder struct {
 // The caller owns the sink; Flush must be called before it is closed.
 func NewRecorder(w io.Writer) *Recorder {
 	r := &Recorder{
-		pending:   make(map[uint64]pendingEvent),
-		open:      make(map[uint64]openInterval),
-		conflicts: make(map[string]uint64),
-		next:      1,
-		hintNode:  -1,
-		buf:       make([]byte, 0, 256),
+		pending:  make(map[uint64]pendingEvent),
+		open:     make(map[uint64]openInterval),
+		next:     1,
+		hintNode: -1,
+		buf:      make([]byte, 0, 256),
 	}
 	if w != nil {
 		r.w = bufio.NewWriterSize(w, 1<<16)
@@ -282,15 +276,6 @@ func (r *Recorder) End(id uint64, now time.Duration) {
 	r.span(id, o.parent, o.label, o.node, o.start, now, nil, 0, false, o.view)
 }
 
-// Conflict attributes one parallel-execution fallback to the state key
-// that caused it. Counts are emitted as fixed-order records at Finish.
-func (r *Recorder) Conflict(key string) {
-	if r == nil {
-		return
-	}
-	r.conflicts[key]++
-}
-
 // Meta emits the header line carrying run identity.
 func (r *Recorder) Meta(chain string, seed int64, nodes int) {
 	if r == nil || r.w == nil {
@@ -340,38 +325,16 @@ func (r *Recorder) span(id, parent uint64, label string, node int32, start, end 
 	r.line()
 }
 
-// Finish emits the conflict-attribution records (sorted by key, so
-// same-seed files stay byte-identical) and drops still-pending state:
-// events that never ran and rounds that never closed are not part of any
-// committed causal chain. Call once, at the end of the run, before Flush.
+// Finish drops still-pending state: events that never ran and rounds that
+// never closed are not part of any committed causal chain. Call once, at
+// the end of the run, before Flush.
 func (r *Recorder) Finish() {
 	if r == nil {
 		return
 	}
-	keys := make([]string, 0, len(r.conflicts))
-	for k := range r.conflicts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r.conflict(k, r.conflicts[k])
-	}
 	r.dropped += uint64(len(r.pending)) + uint64(len(r.open))
 	r.pending = make(map[uint64]pendingEvent)
 	r.open = make(map[uint64]openInterval)
-}
-
-func (r *Recorder) conflict(key string, count uint64) {
-	r.emitted++
-	if r.w == nil {
-		return
-	}
-	r.buf = append(r.buf[:0], `{"kind":"`...)
-	r.buf = append(r.buf, KindConflict...)
-	r.buf = append(r.buf, '"')
-	r.strField("key", key)
-	r.uintField("count", count)
-	r.line()
 }
 
 // Flush drains the internal buffer into the sink.

@@ -27,7 +27,6 @@ func TestNilRecorderSafeAndFree(t *testing.T) {
 		r.PointBlock(0, LabelBlock, 0, 1)
 		r.Annotate(r.Begin(0, "consensus.round", 0, 1), 0, "consensus.propose", 0)
 		r.End(0, 0)
-		r.Conflict("k")
 		r.FrameEnter("exec.apply")
 		r.FrameExit()
 		r.EventDone()
@@ -49,7 +48,7 @@ func TestNilRecorderSafeAndFree(t *testing.T) {
 
 // record drives one synthetic run through the profiler interface: an event
 // chain submit → deliver → commit with anchors, one consensus round with
-// phases, and a couple of conflicts. Returns the parsed file.
+// phases. Returns the parsed file.
 func record(t *testing.T) (*File, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -78,9 +77,6 @@ func record(t *testing.T) (*File, []byte) {
 	r.PointBlock(40*time.Millisecond, LabelBlock, 1, 1)
 	r.EventDone()
 
-	r.Conflict("balance:0a")
-	r.Conflict("balance:0a")
-	r.Conflict("storage:0b:7")
 	r.Finish()
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
@@ -121,11 +117,6 @@ func TestRecorderCausalTreeRoundTrip(t *testing.T) {
 	}
 	if byLabel["consensus.vote"].Parent != round.ID {
 		t.Fatal("phase annotation not parented to its round")
-	}
-	// Conflicts come out sorted by key with exact counts.
-	if len(f.Conflicts) != 2 || f.Conflicts[0].Key != "balance:0a" || f.Conflicts[0].Count != 2 ||
-		f.Conflicts[1].Key != "storage:0b:7" || f.Conflicts[1].Count != 1 {
-		t.Fatalf("conflicts = %+v", f.Conflicts)
 	}
 	// Field order is fixed: the span line starts {"t":...,"kind":"span",
 	// "id":... — a schema, not map iteration.
@@ -285,10 +276,9 @@ func TestSnapshotReconciles(t *testing.T) {
 		r := NewRecorder(nil)
 		id := r.EventScheduled(sim.KindClient, 0)
 		r.EventRun(id, time.Millisecond)
-		r.Conflict("balance:0a")
 		r.EventDone()
 		if extra {
-			r.Conflict("balance:0b")
+			r.EventScheduled(sim.KindClient, time.Millisecond)
 		}
 		return r
 	}
@@ -310,6 +300,6 @@ func TestSnapshotReconciles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := snapshot.Reconcile(a, dec2); err == nil {
-		t.Fatal("diverged conflict tables reconciled cleanly")
+		t.Fatal("diverged recorders reconciled cleanly")
 	}
 }

@@ -334,10 +334,6 @@ type Setup struct {
 	// Retry is the client resubmission policy from the `retry:` section
 	// (zero = disabled).
 	Retry chain.RetryPolicy
-	// ExecWorkers is the parallel intra-block execution worker count from
-	// the `parallel-execution:` section (0/1 = serial). Results are
-	// byte-identical at any worker count; this is a performance knob.
-	ExecWorkers int
 }
 
 // ParseSetup parses a setup document of the form:
@@ -390,22 +386,6 @@ func ParseSetup(src string) (*Setup, error) {
 			return nil, err
 		}
 		out.Retry = policy
-	}
-	if pe, ok := root.Get("parallel-execution"); ok {
-		// Accept either a bare worker count or {workers: N}.
-		val := pe.Value
-		if pe.Kind == yamlite.Map {
-			w, ok := pe.Get("workers")
-			if !ok || w.Kind != yamlite.Scalar {
-				return nil, fmt.Errorf("spec: parallel-execution needs workers")
-			}
-			val = w.Value
-		}
-		v, err := strconv.Atoi(val)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("spec: bad parallel-execution workers %q", val)
-		}
-		out.ExecWorkers = v
 	}
 	nodes := cfg.Nodes
 	if out.NodeScale > 1 {

@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -262,14 +261,4 @@ func (c *CDF) Points(n int, max time.Duration) [][2]float64 {
 		pts = append(pts, [2]float64{d.Seconds(), c.At(d)})
 	}
 	return pts
-}
-
-// FormatTPS renders a throughput for human-readable tables.
-func FormatTPS(tps float64) string {
-	switch {
-	case tps >= 1000:
-		return fmt.Sprintf("%.1fK TPS", tps/1000)
-	default:
-		return fmt.Sprintf("%.0f TPS", tps)
-	}
 }

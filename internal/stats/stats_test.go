@@ -207,12 +207,3 @@ func TestSummarizePartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFormatTPS(t *testing.T) {
-	if got := FormatTPS(8845); got != "8.8K TPS" {
-		t.Fatalf("FormatTPS(8845) = %q", got)
-	}
-	if got := FormatTPS(323); got != "323 TPS" {
-		t.Fatalf("FormatTPS(323) = %q", got)
-	}
-}

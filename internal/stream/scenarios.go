@@ -190,8 +190,7 @@ func (s *FlashMint) SnapshotState(e *snapshot.Encoder) {
 
 // DEXArb is a population of arbitrage bots hammering one shared DEX pool
 // at a constant aggregate rate. Every swap touches the same two reserve
-// cells, so the scenario is a worst case for intra-block parallel
-// execution — it feeds the conflict attribution of DESIGN.md §14.
+// cells.
 type DEXArb struct {
 	g         gen
 	rate      float64

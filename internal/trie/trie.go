@@ -156,52 +156,6 @@ func (t *Trie) Root() types.Hash {
 	return out
 }
 
-// Walk visits every (key, value) pair in lexicographic key order.
-func (t *Trie) Walk(fn func(key, value []byte) bool) {
-	var walk func(n *node, prefix []byte) bool
-	walk = func(n *node, prefix []byte) bool {
-		if n.hasValue {
-			if !fn(packNibbles(prefix), n.value) {
-				return false
-			}
-		}
-		for i := 0; i < 16; i++ {
-			if c := n.children[i]; c != nil {
-				if !walk(c, append(prefix, byte(i))) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(t.root, nil)
-}
-
-func packNibbles(nbs []byte) []byte {
-	out := make([]byte, len(nbs)/2)
-	for i := range out {
-		out[i] = nbs[2*i]<<4 | nbs[2*i+1]
-	}
-	return out
-}
-
-// Copy returns a deep copy of the trie (used to snapshot state when a chain
-// forks).
-func (t *Trie) Copy() *Trie {
-	var cp func(n *node) *node
-	cp = func(n *node) *node {
-		if n == nil {
-			return nil
-		}
-		out := &node{value: append([]byte(nil), n.value...), hasValue: n.hasValue, hash: n.hash}
-		for i, c := range n.children {
-			out.children[i] = cp(c)
-		}
-		return out
-	}
-	return &Trie{root: cp(t.root), size: t.size}
-}
-
 // Equal reports whether two tries hold the same mapping (via root hashes).
 func (t *Trie) Equal(o *Trie) bool {
 	return bytes.Equal(t.root.commit(), o.root.commit())

@@ -142,54 +142,6 @@ func TestIncrementalRootMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestWalkOrderAndCompleteness(t *testing.T) {
-	tr := New()
-	keys := []string{"b", "a", "ab", "aa", "c"}
-	for _, k := range keys {
-		tr.Put([]byte(k), []byte(k))
-	}
-	var got []string
-	tr.Walk(func(k, v []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	want := []string{"a", "aa", "ab", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("walk visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("walk order %v, want %v", got, want)
-		}
-	}
-	// Early termination.
-	count := 0
-	tr.Walk(func(k, v []byte) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("walk did not stop early: %d", count)
-	}
-}
-
-func TestCopyIsDeep(t *testing.T) {
-	tr := New()
-	tr.Put([]byte("k"), []byte("v"))
-	cp := tr.Copy()
-	cp.Put([]byte("k"), []byte("changed"))
-	cp.Put([]byte("new"), []byte("x"))
-	if v, _ := tr.Get([]byte("k")); string(v) != "v" {
-		t.Fatal("copy mutation leaked into original")
-	}
-	if _, ok := tr.Get([]byte("new")); ok {
-		t.Fatal("copy insertion leaked into original")
-	}
-	if tr.Root() == cp.Root() {
-		t.Fatal("diverged tries share a root")
-	}
-}
-
 // Property: Put/Get round-trips for arbitrary keys and values.
 func TestPutGetRoundTripProperty(t *testing.T) {
 	f := func(pairs map[string][]byte) bool {

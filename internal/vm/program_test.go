@@ -400,8 +400,8 @@ func TestRunMatchesExecuteOnDApps(t *testing.T) {
 }
 
 // TestProgramSharedByGoroutines runs one Program from four interpreters at
-// once, as the lanes of a parallel block do; under -race it shows that Run
-// only reads it.
+// once; under -race it shows that Run only reads it, so a Program may be
+// shared.
 func TestProgramSharedByGoroutines(t *testing.T) {
 	d, err := dapps.Get("uber")
 	if err != nil {

@@ -203,12 +203,3 @@ func (w *Wallet) Lookup(addr types.Address) (*Account, bool) {
 func (w *Wallet) Pick(rng *rand.Rand) *Account {
 	return w.Accounts[rng.Intn(len(w.Accounts))]
 }
-
-// Addresses returns all account addresses in order.
-func (w *Wallet) Addresses() []types.Address {
-	out := make([]types.Address, len(w.Accounts))
-	for i, a := range w.Accounts {
-		out[i] = a.Address
-	}
-	return out
-}

@@ -119,16 +119,6 @@ func TestPickUniform(t *testing.T) {
 	}
 }
 
-func TestAddressesOrder(t *testing.T) {
-	w := New(FastScheme{}, "o", 5)
-	addrs := w.Addresses()
-	for i, a := range addrs {
-		if a != w.Get(i).Address {
-			t.Fatal("Addresses order mismatch")
-		}
-	}
-}
-
 // Property: any wire-signed transaction verifies, and flipping a bit in
 // any byte of its calldata fails verification.
 func TestSignatureSoundnessProperty(t *testing.T) {
