@@ -42,7 +42,11 @@ type goldenCell struct {
 // inside broadcasts, and three chains vote or heartbeat all-to-all on the
 // full 200-node consortium with every observer armed. The two devnet fault
 // cells reach snowball sampling past a crashed peer and HotStuff's view
-// timeout with its leader and vote-collector fall-through.
+// timeout with its leader and vote-collector fall-through. The two traced
+// cells repeat the chaos and diem cells with the lifecycle trace and the
+// span stream hashed as they are written, so what the observers record about
+// each transaction (retries, duplicate RPCs and their receipt polls, capacity
+// and per-sender drops) is pinned along with the outcome.
 var goldenCells = []goldenCell{
 	{"quorum-fifa-10s", func(t *testing.T) bench.Experiment {
 		tr, err := workloads.ByName("fifa98")
@@ -76,18 +80,7 @@ faults:
 			Tail:   170 * time.Second, Seed: 2,
 		}
 	}},
-	{"diem-native-caps", func(*testing.T) bench.Experiment {
-		// 98 senders x the 100-per-sender cap is exactly the pool's capacity of
-		// 9,800, so both limits reject; every rejection leaves a nonce gap
-		// that stalls its sender's later transactions.
-		cfg := *configs.Devnet
-		cfg.Accounts = 98
-		return bench.Experiment{
-			Chain: "diem", Config: &cfg,
-			Traces: []*workloads.Trace{workloads.NativeConstant(6000, 4*time.Second)},
-			Tail:   60 * time.Second, Seed: 3,
-		}
-	}},
+	{"diem-native-caps", diemCapsCell},
 	{"ethereum-native-basefee", func(*testing.T) bench.Experiment {
 		return bench.Experiment{
 			Chain: "ethereum", Config: configs.Devnet,
@@ -95,22 +88,7 @@ faults:
 			Tail:   120 * time.Second, Seed: 4,
 		}
 	}},
-	{"quorum-chaos-retries", func(t *testing.T) bench.Experiment {
-		src, err := os.ReadFile("../../specs/setup-quorum-chaos.yaml")
-		if err != nil {
-			t.Fatal(err)
-		}
-		setup, err := spec.ParseSetup(string(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bench.Experiment{
-			Chain: setup.Chain, Config: setup.Config,
-			Traces: []*workloads.Trace{workloads.NativeConstant(40, 230*time.Second)},
-			Tail:   60 * time.Second, Seed: setup.Seed,
-			Faults: setup.Faults, Retry: setup.Retry, Invariants: true,
-		}
-	}},
+	{"quorum-chaos-retries", chaosRetriesCell},
 	{"quorum-stream-flash-mint", func(*testing.T) bench.Experiment {
 		return bench.Experiment{
 			Chain: "quorum", Config: configs.Consortium, ScaleNodes: 10,
@@ -146,6 +124,59 @@ faults:
 	{"avalanche-crash", faultCell("avalanche", crashRestart)},
 	{"diem-partition", faultCell("diem", crashRestart+`
   - partition: {sides: "0-5 | 6-9", at: 3s, for: 10s}`)},
+	{"quorum-chaos-traced", tracedCell(chaosRetriesCell)},
+	{"diem-native-caps-traced", tracedCell(diemCapsCell)},
+}
+
+// chaosRetriesCell runs the chaos spec with its retry policy and the
+// invariant monitors armed.
+func chaosRetriesCell(t *testing.T) bench.Experiment {
+	src, err := os.ReadFile("../../specs/setup-quorum-chaos.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := spec.ParseSetup(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bench.Experiment{
+		Chain: setup.Chain, Config: setup.Config,
+		Traces: []*workloads.Trace{workloads.NativeConstant(40, 230*time.Second)},
+		Tail:   60 * time.Second, Seed: setup.Seed,
+		Faults: setup.Faults, Retry: setup.Retry, Invariants: true,
+	}
+}
+
+// diemCapsCell overloads diem's capped pool with 98 senders.
+func diemCapsCell(*testing.T) bench.Experiment {
+	// 98 senders x the 100-per-sender cap is exactly the pool's capacity of
+	// 9,800, so both limits reject; every rejection leaves a nonce gap
+	// that stalls its sender's later transactions.
+	cfg := *configs.Devnet
+	cfg.Accounts = 98
+	return bench.Experiment{
+		Chain: "diem", Config: &cfg,
+		Traces: []*workloads.Trace{workloads.NativeConstant(6000, 4*time.Second)},
+		Tail:   60 * time.Second, Seed: 3,
+	}
+}
+
+// tracedCell is cell with its lifecycle trace and span stream hashed as
+// they are written; tracedDigest folds both hashes into the cell's digest.
+func tracedCell(cell func(*testing.T) bench.Experiment) func(*testing.T) bench.Experiment {
+	return func(t *testing.T) bench.Experiment {
+		e := cell(t)
+		e.Trace, e.Spans = sha256.New(), sha256.New()
+		return e
+	}
+}
+
+// tracedDigest extends a tracedCell's sim digest with the SHA-256 of its
+// lifecycle trace and of its span stream.
+func tracedDigest(sim string, out *bench.Outcome) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|%x|%x", sim, out.Experiment.Trace.(hash.Hash).Sum(nil), out.Experiment.Spans.(hash.Hash).Sum(nil))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // crashRestart takes devnet node 1 down from 5 s to 20 s.
@@ -233,7 +264,7 @@ func readGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestGoldenSimDigests pins the simulated outcome of fifteen small cells to
+// TestGoldenSimDigests pins the simulated outcome of seventeen small cells to
 // digests recorded in testdata/golden.txt, so a refactor of the transaction
 // path or the event loop is checked against recorded behaviour instead of re-derived
 // expectations. An intended behaviour change regenerates the table with
@@ -259,8 +290,11 @@ func TestGoldenSimDigests(t *testing.T) {
 				out.Summary.Committed, out.AbortedExec)
 		}
 		got := out.Digest()
-		if out.Experiment.CheckpointDir != "" {
+		switch {
+		case out.Experiment.CheckpointDir != "":
 			got = observedDigest(t, got, out)
+		case out.Experiment.Trace != nil:
+			got = tracedDigest(got, out)
 		}
 		fmt.Fprintf(&table, "%s %s\n", c.name, got)
 		t.Logf("%s: submitted %d committed %d aborted %d dropped %d pool-dropped %d timed-out %d retries %d blocks %d wall %v",
