@@ -51,11 +51,13 @@ test-short:
 
 # Race-detector pass: the parallel sweep runner (bench, core, report), which
 # runs whole cells on worker goroutines, with the sim-time packages a cell
-# drives (chains and the two interpreters among them); and the TCP
+# drives (chains, the mempool, the transaction types whose ID() writes its
+# cache on first read, and the two interpreters among them); and the TCP
 # Primary/Secondary path (remote, whose goroutines share sockets) with the
 # wallet its Secondaries sign through.
 race:
-	$(GO) test -race ./internal/sim ./internal/chaos ./internal/simnet \
+	$(GO) test -race ./internal/types ./internal/mempool \
+		./internal/sim ./internal/chaos ./internal/simnet \
 		./internal/chains/... ./internal/bench ./internal/core \
 		./internal/obs ./internal/collect ./internal/snapshot \
 		./internal/report ./internal/adversary ./internal/invariant \

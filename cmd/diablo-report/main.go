@@ -151,8 +151,8 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if *check {
-			fmt.Fprintf(stdout, "%s: ok — %d events, %d txs, %d blocks, %d samples, %d faults\n",
-				path, tr.Events, tr.Submitted, len(tr.Blocks), len(tr.Samples), len(tr.Faults))
+			fmt.Fprintf(stdout, "%s: ok — %d events, %d txs, %d blocks, %d samples, %d faults, %d byzantine, %d violations\n",
+				path, tr.Events, tr.Submitted, len(tr.Blocks), len(tr.Samples), len(tr.Faults), len(tr.Byzantine), len(tr.Violations))
 			continue
 		}
 		att := obs.Attribute(tr)

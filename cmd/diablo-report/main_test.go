@@ -12,6 +12,7 @@ import (
 	"diablo/internal/bench"
 	"diablo/internal/collect"
 	"diablo/internal/configs"
+	"diablo/internal/spec"
 	"diablo/internal/workloads"
 )
 
@@ -46,6 +47,36 @@ func fixtures(t *testing.T, dir string) (result, trace, spans string) {
 	return result, trace, spans
 }
 
+// specTrace runs the setup file (under specs/) with its byzantine schedule
+// and invariant monitors on 20 TPS of native transfers for 20 s, and
+// writes the lifecycle trace into dir, returning its path.
+func specTrace(t *testing.T, dir, setupFile string) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "specs", setupFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := spec.ParseSetup(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr bytes.Buffer
+	if _, err := bench.Run(bench.Experiment{
+		Chain: setup.Chain, Config: setup.Config, ScaleNodes: setup.NodeScale, Seed: setup.Seed,
+		Traces:    []*workloads.Trace{workloads.NativeConstant(20, 20*time.Second)},
+		Tail:      30 * time.Second,
+		Byzantine: setup.Byzantine, Invariants: setup.Invariants, InclusionHorizon: setup.InclusionHorizon,
+		Trace: &tr,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, strings.TrimSuffix(setupFile, ".yaml")+".jsonl")
+	if err := os.WriteFile(path, tr.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // withLine writes a copy of the file at path with one more line at its end
 // and returns the copy's path and the added line's number.
 func withLine(t *testing.T, path, line string) (string, int) {
@@ -70,6 +101,8 @@ func TestRun(t *testing.T) {
 	pexecTrace, pexecLine := withLine(t, trace, `{"t":1522316302,"kind":"pexec","block":2,"spec":1,"fallback":12,"edges":24}`)
 	conflictSpans, conflictLine := withLine(t, spans, `{"kind":"conflict","key":"storage:9f2b58f3d97f3c7c23e8b24a5bbb16e18e875ea2:0","count":24}`)
 	missing := filepath.Join(dir, "missing.json")
+	byzantine := specTrace(t, dir, "setup-quorum-byzantine.yaml")
+	unsafe := specTrace(t, dir, "setup-quorum-byzantine-unsafe.yaml")
 
 	cases := []struct {
 		name   string
@@ -83,6 +116,9 @@ func TestRun(t *testing.T) {
 		{"trace", []string{"trace", trace}, 0, "trace: quorum seed 3", ""},
 		{"trace check", []string{"trace", "--check", trace}, 0, trace + ": ok — ", ""},
 		{"trace json", []string{"trace", "--json", trace}, 0, `"components"`, ""},
+		{"byzantine trace check", []string{"trace", "--check", byzantine}, 0, " faults, 10 byzantine, 0 violations", ""},
+		{"byzantine trace", []string{"trace", byzantine}, 0, "\nbyzantine:\n", ""},
+		{"violation trace", []string{"trace", unsafe}, 0, "\nviolations:\n", ""},
 		{"spans", []string{"spans", spans}, 0, "spans: quorum seed 3", ""},
 		{"spans json", []string{"spans", "--json", spans}, 0, `"tx_shares"`, ""},
 		{"spans flame", []string{"spans", "--flame", spans}, 0, "consensus.step", ""},

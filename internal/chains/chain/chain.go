@@ -149,6 +149,10 @@ type Network struct {
 	ledger   []*types.Block
 	receipts map[types.Hash]*types.Receipt
 
+	// clients is the state the network's clients share; the clients'
+	// checkpoint section captures it (SnapshotClients).
+	clients *clientState
+
 	// blockIndex maps a committed block to its per-origin transaction
 	// groups; freed once every node has received the block.
 	blockIndex map[*types.Block]*blockGroups //lint:allow snapshotdrift pointer-keyed cache of block conflict groups; derived, rebuilt per block
@@ -231,6 +235,7 @@ func Deploy(sched *sim.Scheduler, wan *simnet.Network, params Params, dep Deploy
 		receipts:   make(map[types.Hash]*types.Receipt),
 		blockIndex: make(map[*types.Block]*blockGroups),
 	}
+	n.clients = &clientState{net: n}
 	placement := simnet.PlaceEvenly(dep.Nodes, dep.Regions)
 	for i := 0; i < dep.Nodes; i++ {
 		node := &Node{Index: i, Sim: wan.AddNode(placement[i]), net: n}
@@ -444,36 +449,50 @@ func (n *Network) BlockExecTime(gas uint64, ntxs int) time.Duration {
 // transient node fault (ErrNodeDown, ErrNodeCrashed) that a client retry
 // policy may resubmit after. Resubmitting an already-committed transaction
 // reports ErrDuplicate rather than executing it twice.
+//
+// Nothing here hashes the transaction unless an observer is attached: the
+// duplicate checks read its marks in the pool's table.
 func (nd *Node) SubmitTx(tx *types.Transaction) error {
 	n := nd.net
 	if n.crashed {
-		n.tracer.Reject(n.Sched.Now(), tx.ID(), nd.Index, "network-down")
+		n.traceReject(tx, nd.Index, "network-down")
 		return ErrNodeDown
 	}
 	if nd.Sim.Crashed() {
-		n.tracer.Reject(n.Sched.Now(), tx.ID(), nd.Index, "node-crashed")
+		n.traceReject(tx, nd.Index, "node-crashed")
 		return ErrNodeCrashed
 	}
-	if _, done := n.receipts[tx.ID()]; done {
+	if n.Pool.Txs().Marks(tx)&types.TxCommitted != 0 {
 		return mempool.ErrDuplicate
 	}
 	n.recordArrival()
 	if n.crashed { // recordArrival may have tripped the collapse
-		n.tracer.Reject(n.Sched.Now(), tx.ID(), nd.Index, "network-down")
+		n.traceReject(tx, nd.Index, "network-down")
 		return ErrNodeDown
 	}
 	// The pool entry records the origin node; block assembly reads it back
 	// from the take, so the network keeps no per-transaction index.
 	err := n.Pool.Add(tx, nd.Index, n.Sched.Now())
 	if err == nil {
-		n.monitor.OnAdmit(tx.ID(), nd.Index, n.Sched.Now())
+		if n.monitor != nil {
+			n.monitor.OnAdmit(tx.ID(), nd.Index, n.Sched.Now())
+		}
 		n.Obs.Admitted.Inc()
-		n.tracer.Admit(n.Sched.Now(), tx.ID(), nd.Index)
+		if n.tracer != nil {
+			n.tracer.Admit(n.Sched.Now(), tx.ID(), nd.Index)
+		}
 	} else {
 		n.Obs.Rejected.Inc()
-		n.tracer.Reject(n.Sched.Now(), tx.ID(), nd.Index, rejectNote(err))
+		n.traceReject(tx, nd.Index, rejectNote(err))
 	}
 	return err
+}
+
+// traceReject traces a refused submission; only a traced run hashes it.
+func (n *Network) traceReject(tx *types.Transaction, node int, note string) {
+	if n.tracer != nil {
+		n.tracer.Reject(n.Sched.Now(), tx.ID(), node, note)
+	}
 }
 
 // blockGroups indexes one block's transactions by origin node.
@@ -566,16 +585,16 @@ func (n *Network) AssembleBlockBudgeted(proposer int, allowEmpty bool, maxTxs in
 	receipts := n.Exec.ApplyBlock(txs, blk, n.Params)
 	n.spans.FrameExit()
 	for i, tx := range txs {
-		id := tx.ID()
 		if tx.Kind == types.KindInvoke {
 			invokes++
 		}
-		n.monitor.OnInclude(id, blk.Number, now)
-		n.spans.PointTx(now, "chain.include", int32(proposer), id)
-		r := receipts[i]
-		n.receipts[id] = r
+		r := receipts[i] // Apply hashed the transaction for its receipt
+		n.monitor.OnInclude(r.TxID, blk.Number, now)
+		n.spans.PointTx(now, "chain.include", int32(proposer), r.TxID)
+		n.receipts[r.TxID] = r
 		gasUsed += r.GasUsed
-		groups.byOrigin[origins[i]] = append(groups.byOrigin[origins[i]], decidedTx{id: id, status: r.Status})
+		h := n.Pool.Txs().Mark(tx, types.TxCommitted)
+		groups.byOrigin[origins[i]] = append(groups.byOrigin[origins[i]], decidedTx{handle: h, status: r.Status})
 	}
 	blk.GasUsed = gasUsed
 	blk.StateRoot = n.Exec.StateRoot()

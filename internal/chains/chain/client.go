@@ -78,45 +78,54 @@ type Client struct {
 	Retries  int
 	TimedOut int
 
-	retry   RetryPolicy
-	pending map[types.Hash]*pendingTx
+	retry RetryPolicy
+	// pending counts the transactions this client awaits; their records
+	// are in the network's clientState.
+	pending int
 	// waiting holds txs observed in a block, awaiting confirmation depth:
 	// waiting[i] are txs from block number waitBase+i.
 	waiting  [][]includedTx
 	waitBase uint64
 }
 
-// Submission identifies a settled transaction to the client's callbacks: its
-// ID, when Submit was called, and the caller's token from Submit — so a
-// caller correlating outcomes with its own records keeps no index of its own.
+// Submission identifies a settled transaction to the client's callbacks: the
+// transaction, when Submit was called, and the caller's token from Submit —
+// so a caller correlating outcomes with its own records keeps no index of
+// its own.
 type Submission struct {
-	ID        types.Hash
+	tx        *types.Transaction
 	Submitted time.Duration
 	Token     any
 }
 
+// ID returns the submitted transaction's ID. It is hashed on first use, so
+// a caller that never reads it never pays for it.
+func (s Submission) ID() types.Hash { return s.tx.ID() }
+
 // pendingTx is the one record of a submitted-but-undecided transaction: the
-// signed payload (the retry policy resubmits it unchanged; dedup at the node
-// keeps the mempool and commit accounting correct), what the callbacks hand
-// back, and the retry state. It is also the scheduler callback of its own
-// RPC, so a send allocates nothing.
+// signed payload in sub (the retry policy resubmits it unchanged; dedup at
+// the node keeps the mempool and commit accounting correct) with what the
+// callbacks hand back, the transaction's handle in the pool's table, and the
+// retry state. It is also the scheduler callback of its own RPC, so a send
+// allocates nothing.
 type pendingTx struct {
 	c        *Client
-	tx       *types.Transaction
 	sub      Submission
+	handle   uint64
 	attempts int
 	timer    sim.EventID
 	hasTimer bool
-	// settled is set once the transaction left c.pending (decided, dropped,
-	// timed out, or replaced by a resubmission of the same ID); events still
-	// in flight for it then do nothing.
+	// settled is set once the record left the clientState (decided,
+	// dropped, timed out, or superseded by a resubmission of the same
+	// transaction); events still in flight for it then do nothing.
 	settled bool
 }
 
 // decidedTx is a block's verdict on one transaction, as the network lists
-// it for the clients of the node the transaction entered through.
+// it for the clients of the node the transaction entered through: the
+// transaction's handle (its committed mark keeps it) and its status.
 type decidedTx struct {
-	id     types.Hash
+	handle uint64
 	status types.ExecStatus
 }
 
@@ -126,6 +135,48 @@ type includedTx struct {
 	status types.ExecStatus
 }
 
+// clientState is what a network's clients share: the record awaiting each
+// transaction's decision, indexed by the transaction's handle in the pool's
+// table (types.TxTable), so submission, settlement and block delivery find
+// a record without hashing the transaction. Its SnapshotState is the
+// checkpoint's clients section.
+type clientState struct {
+	net      *Network
+	awaiting []*pendingTx
+}
+
+// await makes p the record awaiting its transaction's decision and marks
+// the transaction awaited. A record already awaiting the same transaction is
+// superseded: it settles without a callback.
+func (cs *clientState) await(p *pendingTx) {
+	p.handle = cs.net.Pool.Txs().Mark(p.sub.tx, types.TxAwaited)
+	for uint64(len(cs.awaiting)) <= p.handle {
+		cs.awaiting = append(cs.awaiting, nil)
+	}
+	if old := cs.awaiting[p.handle]; old != nil {
+		old.settled = true
+		old.c.pending--
+	}
+	cs.awaiting[p.handle] = p
+	p.c.pending++
+}
+
+// release retires p's place: its transaction is no longer awaited, and its
+// slot in the pool's table is freed unless pooled or committed.
+func (cs *clientState) release(p *pendingTx) {
+	cs.awaiting[p.handle] = nil
+	p.c.pending--
+	cs.net.Pool.Txs().Unmark(p.handle, p.sub.tx, types.TxAwaited)
+}
+
+// awaiter returns the record awaiting the transaction with handle h, or nil.
+func (cs *clientState) awaiter(h uint64) *pendingTx {
+	if h < uint64(len(cs.awaiting)) {
+		return cs.awaiting[h]
+	}
+	return nil
+}
+
 // rpcLatency is the client-to-collocated-node submission latency.
 const rpcLatency = 500 * time.Microsecond
 
@@ -133,10 +184,9 @@ const rpcLatency = 500 * time.Microsecond
 // network's DefaultRetry policy.
 func (n *Network) NewClient(nodeIdx int) *Client {
 	c := &Client{
-		net:     n,
-		node:    n.Nodes[nodeIdx],
-		retry:   n.DefaultRetry,
-		pending: make(map[types.Hash]*pendingTx),
+		net:   n,
+		node:  n.Nodes[nodeIdx],
+		retry: n.DefaultRetry,
 	}
 	c.node.clients = append(c.node.clients, c)
 	return c
@@ -146,7 +196,7 @@ func (n *Network) NewClient(nodeIdx int) *Client {
 func (c *Client) NodeIndex() int { return c.node.Index }
 
 // Pending returns the number of submitted-but-undecided transactions.
-func (c *Client) Pending() int { return len(c.pending) }
+func (c *Client) Pending() int { return c.pending }
 
 // SetRetry replaces the client's retry policy.
 func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
@@ -157,16 +207,21 @@ func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 // retry policy is set — transient failures and silent losses are retried
 // until OnDecided or OnTimeout settles the transaction. token comes back in
 // the callbacks' Submission; a pointer or nil costs no allocation.
+//
+// A transaction is awaited by one record at a time: submitting it again,
+// through this client or another, supersedes the earlier record, which then
+// settles without a callback.
 func (c *Client) Submit(tx *types.Transaction, token any) {
-	now := c.net.Sched.Now()
-	p := &pendingTx{c: c, tx: tx, sub: Submission{ID: tx.ID(), Submitted: now, Token: token}}
-	if old, dup := c.pending[p.sub.ID]; dup {
-		old.settled = true // the resubmission takes over the slot
+	n, now := c.net, c.net.Sched.Now()
+	p := &pendingTx{c: c, sub: Submission{tx: tx, Submitted: now, Token: token}}
+	n.clients.await(p)
+	n.Obs.Submitted.Inc()
+	if n.tracer != nil {
+		n.tracer.Submit(now, tx.ID(), c.node.Index)
 	}
-	c.pending[p.sub.ID] = p
-	c.net.Obs.Submitted.Inc()
-	c.net.tracer.Submit(now, p.sub.ID, c.node.Index)
-	c.net.spans.PointTx(now, span.LabelSubmit, int32(c.node.Index), p.sub.ID)
+	if n.spans != nil {
+		n.spans.PointTx(now, span.LabelSubmit, int32(c.node.Index), tx.ID())
+	}
 	c.send(p)
 }
 
@@ -184,9 +239,11 @@ func (p *pendingTx) Run() {
 	if p.settled {
 		return // decided while the attempt was in flight
 	}
-	c, id := p.c, p.sub.ID
-	c.net.tracer.Send(c.net.Sched.Now(), id, c.node.Index, p.attempts)
-	err := c.node.SubmitTx(p.tx)
+	c := p.c
+	if c.net.tracer != nil {
+		c.net.tracer.Send(c.net.Sched.Now(), p.sub.ID(), c.node.Index, p.attempts)
+	}
+	err := c.node.SubmitTx(p.sub.tx)
 	switch {
 	case err == nil:
 		c.arm(p)
@@ -196,7 +253,7 @@ func (p *pendingTx) Run() {
 		// saw (its node was down when the block was decided). A real
 		// client recovers exactly this way — "already known" from the
 		// RPC, then a receipt query.
-		if r, done := c.net.Receipt(id); done {
+		if r, done := c.net.Receipt(p.sub.ID()); done {
 			c.decide(p, r.Status)
 			return
 		}
@@ -235,7 +292,9 @@ func (c *Client) expire(p *pendingTx) {
 		c.TimedOut++
 		c.net.TotalTimeouts++
 		c.net.Obs.Timeouts.Inc()
-		c.net.tracer.Timeout(c.net.Sched.Now(), p.sub.ID, p.attempts)
+		if c.net.tracer != nil {
+			c.net.tracer.Timeout(c.net.Sched.Now(), p.sub.ID(), p.attempts)
+		}
 		if c.OnTimeout != nil {
 			c.OnTimeout(p.sub, p.attempts, c.net.Sched.Now())
 		}
@@ -245,7 +304,9 @@ func (c *Client) expire(p *pendingTx) {
 	c.Retries++
 	c.net.TotalRetries++
 	c.net.Obs.Retries.Inc()
-	c.net.tracer.Retry(c.net.Sched.Now(), p.sub.ID, p.attempts)
+	if c.net.tracer != nil {
+		c.net.tracer.Retry(c.net.Sched.Now(), p.sub.ID(), p.attempts)
+	}
 	c.send(p)
 }
 
@@ -255,7 +316,7 @@ func (c *Client) settle(p *pendingTx) {
 		p.timer.Cancel()
 	}
 	p.settled = true
-	delete(c.pending, p.sub.ID)
+	c.net.clients.release(p)
 }
 
 // decide settles a transaction observed committed and reports it.
@@ -263,8 +324,12 @@ func (c *Client) decide(p *pendingTx, status types.ExecStatus) {
 	now := c.net.Sched.Now()
 	c.settle(p)
 	c.net.Obs.Decided.Inc()
-	c.net.tracer.Commit(now, p.sub.ID, c.node.Index)
-	c.net.spans.PointTx(now, span.LabelCommit, int32(c.node.Index), p.sub.ID)
+	if c.net.tracer != nil {
+		c.net.tracer.Commit(now, p.sub.ID(), c.node.Index)
+	}
+	if c.net.spans != nil {
+		c.net.spans.PointTx(now, span.LabelCommit, int32(c.node.Index), p.sub.ID())
+	}
 	if c.OnDecided != nil {
 		c.OnDecided(p.sub, status, now)
 	}
@@ -280,13 +345,13 @@ func (c *Client) onBlock(blk *types.Block, mine []decidedTx) {
 	for c.waitBase+uint64(len(c.waiting)) <= blk.Number {
 		c.waiting = append(c.waiting, nil)
 	}
-	if len(mine) > 0 && len(c.pending) > 0 {
+	if len(mine) > 0 && c.pending > 0 {
 		slot := 0
 		if blk.Number > c.waitBase {
 			slot = int(blk.Number - c.waitBase)
 		}
 		for _, d := range mine {
-			if p, ok := c.pending[d.id]; ok {
+			if p := c.net.clients.awaiter(d.handle); p != nil && p.c == c {
 				c.waiting[slot] = append(c.waiting[slot], includedTx{p: p, status: d.status})
 			}
 		}

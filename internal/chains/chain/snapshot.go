@@ -49,28 +49,35 @@ func xorHashes(h uint64, id types.Hash) uint64 {
 
 // SnapshotClients captures every client's submission-tracking state, in
 // node order then attachment order (both deterministic).
-func (n *Network) SnapshotClients(e *snapshot.Encoder) {
+func (n *Network) SnapshotClients(e *snapshot.Encoder) { n.clients.SnapshotState(e) }
+
+// SnapshotState implements snapshot.Stater for the network's clients.
+func (cs *clientState) SnapshotState(e *snapshot.Encoder) {
+	// Each client's awaited IDs, folded in one pass over the shared index.
+	awaited := map[*Client]uint64{}
+	for _, p := range cs.awaiting {
+		if p != nil {
+			awaited[p.c] = xorHashes(awaited[p.c], p.sub.ID())
+		}
+	}
 	var clients, pending, retries, timedOut uint64
 	h := snapshot.NewHash()
-	for _, nd := range n.Nodes {
+	for _, nd := range cs.net.Nodes {
 		for _, c := range nd.clients {
 			clients++
-			pending += uint64(len(c.pending))
+			pending += uint64(c.pending)
 			retries += uint64(c.Retries)
 			timedOut += uint64(c.TimedOut)
 			h.I64(int64(nd.Index))
-			h.U64(uint64(len(c.pending)))
+			h.U64(uint64(c.pending))
 			h.U64(c.waitBase)
 			h.U64(uint64(len(c.waiting)))
-			var ids uint64
-			for id := range c.pending {
-				ids = xorHashes(ids, id)
-			}
-			h.U64(ids)
+			h.U64(awaited[c])
 			for _, slot := range c.waiting {
 				h.U64(uint64(len(slot)))
 				for _, in := range slot {
-					h.Bytes(in.p.sub.ID[:])
+					id := in.p.sub.ID()
+					h.Bytes(id[:])
 				}
 			}
 		}

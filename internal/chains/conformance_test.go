@@ -57,10 +57,10 @@ func runConformance(t *testing.T, name string, seed int64) {
 	for i := range clients {
 		clients[i] = net.NewClient(rng.Intn(len(net.Nodes)))
 		clients[i].OnDecided = func(sub chain.Submission, s types.ExecStatus, at time.Duration) {
-			decided[sub.ID]++
+			decided[sub.ID()]++
 		}
 		clients[i].OnDropped = func(sub chain.Submission, err error, at time.Duration) {
-			dropped[sub.ID]++
+			dropped[sub.ID()]++
 		}
 	}
 

@@ -54,7 +54,7 @@ func TestUnderpricedTransactionWaitsForFeeToFall(t *testing.T) {
 	decidedCheap := false
 	var cheapID types.Hash
 	client.OnDecided = func(sub chain.Submission, _ types.ExecStatus, _ time.Duration) {
-		if sub.ID == cheapID {
+		if sub.ID() == cheapID {
 			decidedCheap = true
 		}
 	}

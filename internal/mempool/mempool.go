@@ -44,7 +44,8 @@ var (
 // Entry is a pending transaction with its network entry point.
 type Entry struct {
 	Tx     *types.Transaction
-	Origin int           // node the client submitted to
+	Origin int32         // node the client submitted to
+	handle uint32        // Tx's slot in the pool's table
 	Seen   time.Duration // virtual time of submission
 }
 
@@ -68,9 +69,9 @@ type AdmitHook func(tx *types.Transaction, origin int, now time.Duration)
 // prefix, and no entry behind the one that ends a take needs looking at.
 type Pool struct {
 	policy   Policy
-	entries  []Entry                 // FIFO, sorted by Seen
-	byID     map[types.Hash]struct{} //lint:allow snapshotdrift index over entries; the entries digest covers the canonical order
-	bySender map[types.Address]int   //lint:allow snapshotdrift index over entries; the entries digest covers the canonical order
+	entries  []Entry               // FIFO, sorted by Seen
+	txs      types.TxTable         // index over entries: what the pool holds is marked types.TxPooled
+	bySender map[types.Address]int //lint:allow snapshotdrift index over entries; the entries digest covers the canonical order
 	visible  VisibilityFunc
 	dropped  uint64
 	accepted uint64
@@ -84,11 +85,15 @@ func (p *Pool) SetAdmitHook(h AdmitHook) { p.onAdmit = h }
 func New(policy Policy, visible VisibilityFunc) *Pool {
 	return &Pool{
 		policy:   policy,
-		byID:     make(map[types.Hash]struct{}),
 		bySender: make(map[types.Address]int),
 		visible:  visible,
 	}
 }
+
+// Txs returns the pool's transaction table, in which the pool marks what
+// it holds (types.TxPooled). A network keeps its own marks in its pool's
+// table, so a transaction has one handle from submission to the ledger.
+func (p *Pool) Txs() *types.TxTable { return &p.txs }
 
 // Len returns the number of pending transactions.
 func (p *Pool) Len() int { return len(p.entries) }
@@ -101,8 +106,7 @@ func (p *Pool) Accepted() uint64 { return p.accepted }
 
 // Add admits a transaction submitted at node origin at virtual time now.
 func (p *Pool) Add(tx *types.Transaction, origin int, now time.Duration) error {
-	id := tx.ID()
-	if _, dup := p.byID[id]; dup {
+	if p.txs.Marks(tx)&types.TxPooled != 0 {
 		return ErrDuplicate
 	}
 	if p.policy.Capacity > 0 && len(p.entries) >= p.policy.Capacity {
@@ -116,20 +120,14 @@ func (p *Pool) Add(tx *types.Transaction, origin int, now time.Duration) error {
 	if n := len(p.entries); n > 0 && now < p.entries[n-1].Seen {
 		panic("mempool: Add at a time before the newest pending entry")
 	}
-	p.entries = append(p.entries, Entry{Tx: tx, Origin: origin, Seen: now})
-	p.byID[id] = struct{}{}
+	h := p.txs.Mark(tx, types.TxPooled)
+	p.entries = append(p.entries, Entry{Tx: tx, Origin: int32(origin), handle: uint32(h), Seen: now})
 	p.bySender[tx.From]++
 	p.accepted++
 	if p.onAdmit != nil {
 		p.onAdmit(tx, origin, now)
 	}
 	return nil
-}
-
-// Contains reports whether the transaction is pending.
-func (p *Pool) Contains(id types.Hash) bool {
-	_, ok := p.byID[id]
-	return ok
 }
 
 // TakeSpec parameterizes a block-assembly TakeWith.
@@ -194,12 +192,12 @@ scan:
 		switch {
 		case spec.MaxAge > 0 && spec.Now-e.Seen > spec.MaxAge:
 			// Expired (stale recent-blockhash): permanently invalid.
-			p.remove(e.Tx)
+			p.remove(e)
 			p.dropped++
 			continue
-		case p.visible != nil && e.Seen+p.visible(e.Origin, spec.Viewer) > spec.Now:
+		case p.visible != nil && e.Seen+p.visible(int(e.Origin), spec.Viewer) > spec.Now:
 			// Not gossiped to this viewer yet.
-		case spec.Skip != nil && spec.Skip(e.Tx, e.Origin):
+		case spec.Skip != nil && spec.Skip(e.Tx, int(e.Origin)):
 			// Censored by this proposer: stays pooled for honest ones.
 		case spec.MinGasPrice > 0 && e.Tx.GasPrice < spec.MinGasPrice:
 			// Underpriced under the current base fee: stays pooled until
@@ -219,7 +217,7 @@ scan:
 			if len(out) > 0 && (spec.MaxGas > 0 && gas+g > spec.MaxGas || spec.MaxCost > 0 && cost+c > spec.MaxCost) {
 				break scan // the block is full; e and all behind it stay
 			}
-			p.remove(e.Tx)
+			p.remove(e)
 			if spec.MaxGas > 0 && g > spec.MaxGas {
 				// Single transaction above the block gas limit can never be
 				// included; drop it so it does not wedge the pool head.
@@ -228,7 +226,7 @@ scan:
 			}
 			out = append(out, e.Tx)
 			if spec.Origins != nil {
-				*spec.Origins = append(*spec.Origins, int32(e.Origin))
+				*spec.Origins = append(*spec.Origins, e.Origin)
 			}
 			gas += g
 			cost += c
@@ -268,33 +266,13 @@ func nextNonce(taken map[types.Address]uint64, chain func(types.Address) uint64,
 	return chain(from)
 }
 
-// remove updates the indexes for a transaction leaving the pool. The entry
+// remove updates the indexes for an entry leaving the pool. The entry
 // slice itself is managed by the caller.
-func (p *Pool) remove(tx *types.Transaction) {
-	delete(p.byID, tx.ID())
-	if c := p.bySender[tx.From]; c <= 1 {
-		delete(p.bySender, tx.From)
+func (p *Pool) remove(e Entry) {
+	p.txs.Unmark(uint64(e.handle), e.Tx, types.TxPooled)
+	if c := p.bySender[e.Tx.From]; c <= 1 {
+		delete(p.bySender, e.Tx.From)
 	} else {
-		p.bySender[tx.From] = c - 1
+		p.bySender[e.Tx.From] = c - 1
 	}
-}
-
-// RemoveCommitted evicts transactions that were committed in a block
-// produced elsewhere (e.g. by another proposer).
-func (p *Pool) RemoveCommitted(ids map[types.Hash]struct{}) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	kept := p.entries[:0]
-	removed := 0
-	for _, e := range p.entries {
-		if _, hit := ids[e.Tx.ID()]; hit {
-			p.remove(e.Tx)
-			removed++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	p.entries = kept
-	return removed
 }

@@ -50,8 +50,47 @@ func TestDuplicateRejected(t *testing.T) {
 	if err := p.Add(a, 0, 0); err != ErrDuplicate {
 		t.Fatalf("err = %v, want duplicate", err)
 	}
-	if !p.Contains(a.ID()) {
-		t.Fatal("Contains false for pooled tx")
+	if p.Len() != 1 || p.Dropped() != 0 {
+		t.Fatalf("Len = %d, Dropped = %d after a duplicate, want 1 and 0", p.Len(), p.Dropped())
+	}
+	// Taken, it is forgotten: adding it again is admitted.
+	p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute})
+	if err := p.Add(a, 0, time.Minute); err != nil {
+		t.Fatalf("re-Add after take: %v", err)
+	}
+}
+
+// A transaction another pool handed a handle is new to this one: its
+// handle reads as foreign, it is admitted, and this pool's duplicate check
+// then holds for it. Neither pool's table keeps a transaction it no
+// longer holds.
+func TestTransactionFromAnotherPoolAdmitted(t *testing.T) {
+	a, b := New(Policy{}, nil), New(Policy{}, nil)
+	x := tx(1, 0)
+	for i := uint64(1); i <= 3; i++ {
+		if err := a.Add(tx(2, i), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Add(x, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	a.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute}) // x's slot in a is freed
+	if err := b.Add(x, 0, 0); err != nil {
+		t.Fatalf("transaction from another pool: %v", err)
+	}
+	if err := b.Add(x, 0, 0); err != ErrDuplicate {
+		t.Fatalf("second Add to the new pool: err = %v, want duplicate", err)
+	}
+	if err := a.Add(x, 0, time.Minute); err != nil {
+		t.Fatalf("back to the first pool: %v", err)
+	}
+	if got := a.Txs().Live(); got != 1 {
+		t.Fatalf("first pool tracks %d transactions, want 1", got)
+	}
+	b.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute})
+	if got := b.Txs().Live(); got != 0 {
+		t.Fatalf("drained pool tracks %d transactions, want 0", got)
 	}
 }
 
@@ -191,41 +230,6 @@ func TestVisibilitySkipPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestRemoveCommitted(t *testing.T) {
-	p := New(Policy{}, nil)
-	var txs []*types.Transaction
-	for i := uint64(0); i < 5; i++ {
-		x := tx(1, i)
-		txs = append(txs, x)
-		p.Add(x, 0, 0)
-	}
-	ids := map[types.Hash]struct{}{
-		txs[1].ID(): {},
-		txs[3].ID(): {},
-	}
-	if n := p.RemoveCommitted(ids); n != 2 {
-		t.Fatalf("removed %d, want 2", n)
-	}
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	got := p.TakeWith(TakeSpec{Viewer: 0, Now: time.Minute})
-	if got[0].Nonce != 0 || got[1].Nonce != 2 || got[2].Nonce != 4 {
-		t.Fatalf("wrong survivors: %v", got)
-	}
-	if p.RemoveCommitted(nil) != 0 {
-		t.Fatal("empty removal should be 0")
-	}
-	// Sender budget freed by removal.
-	q := New(Policy{PerSender: 1}, nil)
-	a := tx(7, 0)
-	q.Add(a, 0, 0)
-	q.RemoveCommitted(map[types.Hash]struct{}{a.ID(): {}})
-	if err := q.Add(tx(7, 1), 0, 0); err != nil {
-		t.Fatalf("sender budget not freed: %v", err)
-	}
-}
-
 // Property: the pool never exceeds its capacity and never loses or
 // duplicates transactions across arbitrary add/take sequences.
 func TestPoolInvariantsProperty(t *testing.T) {
@@ -282,7 +286,7 @@ func takeFullScan(p *Pool, spec TakeSpec) []*types.Transaction {
 	taking := true
 	for _, e := range p.entries {
 		if spec.MaxAge > 0 && spec.Now-e.Seen > spec.MaxAge {
-			p.remove(e.Tx)
+			p.remove(e)
 			p.dropped++
 			continue
 		}
@@ -290,11 +294,11 @@ func takeFullScan(p *Pool, spec TakeSpec) []*types.Transaction {
 			kept = append(kept, e)
 			continue
 		}
-		if p.visible != nil && e.Seen+p.visible(e.Origin, spec.Viewer) > spec.Now {
+		if p.visible != nil && e.Seen+p.visible(int(e.Origin), spec.Viewer) > spec.Now {
 			kept = append(kept, e)
 			continue
 		}
-		if spec.Skip != nil && spec.Skip(e.Tx, e.Origin) {
+		if spec.Skip != nil && spec.Skip(e.Tx, int(e.Origin)) {
 			kept = append(kept, e)
 			continue
 		}
@@ -331,20 +335,20 @@ func takeFullScan(p *Pool, spec TakeSpec) []*types.Transaction {
 			continue
 		}
 		if spec.MaxGas > 0 && g > spec.MaxGas {
-			p.remove(e.Tx)
+			p.remove(e)
 			p.dropped++
 			continue
 		}
 		out = append(out, e.Tx)
 		if spec.Origins != nil {
-			*spec.Origins = append(*spec.Origins, int32(e.Origin))
+			*spec.Origins = append(*spec.Origins, e.Origin)
 		}
 		gas += g
 		cost += c
 		if expect != nil {
 			expect[e.Tx.From] = e.Tx.Nonce + 1
 		}
-		p.remove(e.Tx)
+		p.remove(e)
 		if spec.MaxTxs > 0 && len(out) >= spec.MaxTxs {
 			taking = false
 		}
@@ -427,9 +431,11 @@ func TestPrefixTakeMatchesFullScan(t *testing.T) {
 					len(a), len(b), got.Len(), want.Len(), got.Dropped(), want.Dropped())
 				return false
 			}
+			// A taken transaction is no longer indexed: adding it back is
+			// not a duplicate (the pools may still refuse it by policy).
 			for _, x := range a {
-				if got.Contains(x.ID()) {
-					t.Logf("seed %d step %d: taken transaction still indexed", seed, step)
+				if e1, e2 := got.Add(x, 0, now), want.Add(x, 0, now); e1 != e2 || e1 == ErrDuplicate {
+					t.Logf("seed %d step %d: re-Add of a taken transaction: %v vs %v", seed, step, e1, e2)
 					return false
 				}
 			}
@@ -452,7 +458,8 @@ func TestPoolOrderedBySeen(t *testing.T) {
 	}
 	backing := p.entries
 	p.TakeWith(TakeSpec{Viewer: 0, Now: 4 * time.Second, MaxTxs: 7})
-	p.RemoveCommitted(map[types.Hash]struct{}{p.entries[3].Tx.ID(): {}})
+	mid := p.entries[3].Tx // taken out of the middle: every other entry is skipped
+	p.TakeWith(TakeSpec{Viewer: 0, Now: 4 * time.Second, Skip: func(x *types.Transaction, _ int) bool { return x != mid }})
 	p.TakeWith(TakeSpec{Viewer: 0, Now: 5 * time.Second, MaxAge: 3 * time.Second, MaxTxs: 2})
 	for i := 1; i < len(p.entries); i++ {
 		if p.entries[i].Seen < p.entries[i-1].Seen {

@@ -47,11 +47,20 @@ type Sample struct {
 	Vals []float64
 }
 
-// FaultNote is one chaos fault transition.
+// FaultNote is one chaos fault or byzantine behavior transition.
 type FaultNote struct {
 	At    time.Duration
 	Phase string
 	Note  string
+}
+
+// Violation is one invariant breach an invariant monitor reported.
+type Violation struct {
+	At        time.Duration
+	Invariant string
+	Height    uint64
+	Nodes     []int
+	Detail    string
 }
 
 // Trace is a fully parsed trace file.
@@ -67,6 +76,10 @@ type Trace struct {
 	Blocks  map[uint64]*BlockInfo
 	Samples []Sample
 	Faults  []FaultNote
+	// Byzantine holds the adversary's transitions; Violations the
+	// invariant monitors' findings.
+	Byzantine  []FaultNote
+	Violations []Violation
 
 	// Terminal classification of every span.
 	Submitted, Committed, Rejected, TimedOut, Pending int
@@ -95,6 +108,10 @@ type rawEvent struct {
 	Seed       int64     `json:"seed"`
 	IntervalNS int64     `json:"interval_ns"`
 	Metrics    []string  `json:"metrics"`
+	Invariant  string    `json:"invariant"`
+	Height     uint64    `json:"height"`
+	Nodes      []int     `json:"nodes"`
+	Detail     string    `json:"detail"`
 }
 
 // ReadTrace parses (and schema-validates) a JSONL trace, transparently
@@ -234,6 +251,12 @@ func (tr *Trace) apply(ev *rawEvent, lineNo int) error {
 		tr.Faults = append(tr.Faults, FaultNote{At: at, Phase: ev.Phase, Note: ev.Note})
 	case KindSample:
 		tr.Samples = append(tr.Samples, Sample{At: at, Vals: ev.Vals})
+	case KindByzantine:
+		tr.Byzantine = append(tr.Byzantine, FaultNote{At: at, Phase: ev.Phase, Note: ev.Note})
+	case KindViolation:
+		tr.Violations = append(tr.Violations, Violation{
+			At: at, Invariant: ev.Invariant, Height: ev.Height, Nodes: ev.Nodes, Detail: ev.Detail,
+		})
 	default:
 		return fmt.Errorf("obs: trace line %d: unknown kind %q", lineNo, ev.Kind)
 	}

@@ -11,8 +11,9 @@ import (
 
 // RenderTrace prints the "where time goes" view of a parsed trace: the
 // run's shape, the latency attribution table over the committed
-// transactions, the chaos fault timeline, and the per-second metric
-// timelines next to the submission/commit series.
+// transactions, the chaos fault and byzantine behavior timelines, the
+// invariant violations, and the per-second metric timelines next to the
+// submission/commit series.
 func RenderTrace(w io.Writer, tr *obs.Trace, att *obs.Attribution) {
 	fmt.Fprintf(w, "trace: %s seed %d — %d events, %d txs (%d committed, %d rejected, %d timed out, %d pending, %d retries), %d blocks, %d fault transitions\n",
 		tr.Chain, tr.Seed, tr.Events, tr.Submitted, tr.Committed, tr.Rejected,
@@ -36,6 +37,18 @@ func RenderTrace(w io.Writer, tr *obs.Trace, att *obs.Attribution) {
 		fmt.Fprintf(w, "\nfaults:\n")
 		for _, f := range tr.Faults {
 			fmt.Fprintf(w, "  %7.1fs  %-5s  %s\n", f.At.Seconds(), f.Phase, f.Note)
+		}
+	}
+	if len(tr.Byzantine) > 0 {
+		fmt.Fprintf(w, "\nbyzantine:\n")
+		for _, b := range tr.Byzantine {
+			fmt.Fprintf(w, "  %7.1fs  %-10s  %s\n", b.At.Seconds(), b.Phase, b.Note)
+		}
+	}
+	if len(tr.Violations) > 0 {
+		fmt.Fprintf(w, "\nviolations:\n")
+		for _, v := range tr.Violations {
+			fmt.Fprintf(w, "  %7.1fs  %-10s  height %d nodes %v  %s\n", v.At.Seconds(), v.Invariant, v.Height, v.Nodes, v.Detail)
 		}
 	}
 

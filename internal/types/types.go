@@ -116,7 +116,8 @@ type Transaction struct {
 	Sig    []byte
 	PubKey []byte // signer public key
 
-	hash Hash // cached by Seal at signing, else computed lazily by ID
+	hash   Hash   // cached by ID on first use; zero until then
+	handle uint64 // slot in the TxTable that marked it last; never encoded or digested
 }
 
 // signingFixedSize is the signing encoding's size without Data.
@@ -142,19 +143,19 @@ func (tx *Transaction) SigningBytes() []byte {
 	return tx.AppendSigningBytes(make([]byte, 0, signingFixedSize+len(tx.Data)))
 }
 
-// Seal encodes the signing bytes into buf (reusing its capacity), caches
-// the transaction ID computed from them and returns them for the signer:
-// one pass over the transaction where SigningBytes followed by ID makes
-// two. The transaction must not be mutated afterwards.
+// Seal encodes the signing bytes into buf (reusing its capacity) and
+// returns them for the signer. It does not hash: it clears the cached ID,
+// which ID computes on first use, so a transaction nothing identifies (one
+// a full pool drops in an untraced run) is never hashed, and a re-Seal
+// after a mutation yields the new ID. A sealed transaction must not be
+// mutated without sealing it again.
 func (tx *Transaction) Seal(buf []byte) []byte {
-	buf = tx.AppendSigningBytes(buf[:0])
-	tx.hash = sha256.Sum256(buf)
-	return buf
+	tx.hash = Hash{}
+	return tx.AppendSigningBytes(buf[:0])
 }
 
 // ID returns the transaction hash (over the signed payload, excluding the
-// signature itself). The result is cached; a transaction sealed through
-// the wallet already carries it.
+// signature itself), computed on first use and cached.
 //
 //perf:noalloc
 func (tx *Transaction) ID() Hash {
@@ -162,7 +163,7 @@ func (tx *Transaction) ID() Hash {
 		// Calldata of every DApp call fits the stack array; a larger
 		// payload (video upload, contract deployment) makes append grow.
 		var buf [signingFixedSize + 64]byte
-		tx.Seal(buf[:])
+		tx.hash = sha256.Sum256(tx.AppendSigningBytes(buf[:0]))
 	}
 	return tx.hash
 }

@@ -179,15 +179,40 @@ func TestHashBytesConcatProperty(t *testing.T) {
 	}
 }
 
-// Allocation budget: a sealed (signed) transaction's ID is a cache hit, and
-// an unsigned one's encodes into a stack array and hashes without a
-// temporary — neither touches the heap.
+// Seal encodes without hashing; ID hashes the signing bytes on first use
+// and caches them; a re-Seal after a mutation drops the stale ID.
+func TestSealLeavesIDLazy(t *testing.T) {
+	tx := sampleTx(1)
+	buf := tx.Seal(nil)
+	if !bytes.Equal(buf, tx.SigningBytes()) {
+		t.Fatal("Seal did not return the signing bytes")
+	}
+	if !tx.hash.IsZero() {
+		t.Fatal("Seal computed the ID")
+	}
+	id := tx.ID()
+	if id != HashBytes(buf) || tx.hash != id {
+		t.Fatalf("ID() = %s, cached %s, want the hash of the signing bytes %s", id, tx.hash, HashBytes(buf))
+	}
+	tx.Nonce++
+	buf = tx.Seal(buf)
+	if !tx.hash.IsZero() {
+		t.Fatal("re-Seal kept the stale ID")
+	}
+	if got := tx.ID(); got == id || got != HashBytes(buf) {
+		t.Fatalf("ID() after a mutation and re-Seal = %s, want the new hash %s", got, HashBytes(buf))
+	}
+}
+
+// Allocation budget: a sealed transaction's ID, once computed, is a cache
+// hit, and an unsigned one's encodes into a stack array and hashes without
+// a temporary — neither touches the heap.
 func TestTxIDAllocatesNothing(t *testing.T) {
 	sealed := sampleTx(1)
 	sealed.Data = make([]byte, 16)
 	buf := sealed.Seal(nil)
 	if !bytes.Equal(buf, sealed.SigningBytes()) || sealed.ID() != HashBytes(buf) {
-		t.Fatal("Seal did not cache the hash of the signing bytes")
+		t.Fatal("ID is not the hash of the signing bytes Seal returned")
 	}
 	if n := testing.AllocsPerRun(100, func() { sealed.ID() }); n != 0 {
 		t.Fatalf("ID() on a sealed transaction allocates %v times", n)
